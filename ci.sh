@@ -44,6 +44,19 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> perf ledger: unit tests + 1/50-size smoke of all four workloads"
+# Catches a refactor that breaks ledger/src/sut.rs or the report stream
+# before the benchmark driver does.
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+
+echo "==> tracked size: non-test lines of crates/*/src (ROADMAP aim 2: goes down)"
+# Lines before the first #[cfg(test)] in each file.
+find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { n++ }
+    END { print "non-test source lines: " n }'
+
 echo "==> observability goldens (exposition format + stats schema)"
 cargo test -q -p gridwatch-serve --lib -- \
     prometheus_exposition_is_pinned stats_dump_schema_is_pinned

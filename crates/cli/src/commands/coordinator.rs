@@ -4,20 +4,13 @@
 //! produces, checkpoint the fabric, and migrate shards when a worker
 //! dies.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gridwatch_detect::{EngineSnapshot, Snapshot};
-use gridwatch_obs::PipelineObs;
-use gridwatch_serve::{Checkpointer, Coordinator, FabricConfig, FabricError};
-use gridwatch_timeseries::Timestamp;
+use gridwatch_detect::{EngineSnapshot, Snapshot, StepReport};
+use gridwatch_serve::{Checkpointer, Coordinator, FabricConfig, FabricError, FabricStats};
 
-use crate::commands::serve::ReportTally;
-use crate::commands::{
-    dump_flight, exemplar_config, health_closure, install_flight_panic_hook, load_trace,
-    open_history_sink, start_metrics_with_health, store_checkpoint, with_burn_gauges,
-    write_stats_atomic, HealthState,
-};
+use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump};
+use crate::commands::{apply_alarm_flags, load_engine, load_trace, open_history_sink};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -52,7 +45,8 @@ durability:
                             fail fast)
   --halt-workers            send workers a shutdown control at exit
                             (default: leave them listening)
-  --stats FILE              write fabric stats as JSON at exit
+  --stats FILE              write fabric stats as JSON (flushed at every
+                            checkpoint, and again at exit)
 
 history store:
   --store DIR               append score history, stats samples, and
@@ -86,11 +80,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let trace_path: String = flags.require("trace")?;
     let from_day: u64 = flags.get_or("from-day", 15)?;
     let days: u64 = flags.get_or("days", 1)?;
-    let rate: f64 = flags.get_or("rate", 0.0)?;
     let checkpoint_dir: Option<String> = flags.get("checkpoint")?;
-    let checkpoint_every: u64 = flags.get_or("checkpoint-every", 0)?;
-    let stats_path: Option<String> = flags.get("stats")?;
-    let reattach_secs: u64 = flags.get_or("reattach-secs", 0)?;
     if flags.has("resume") && checkpoint_dir.is_none() {
         return Err("--resume requires --checkpoint DIR".to_string());
     }
@@ -107,7 +97,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // Starting state: a fresh engine snapshot, or a recovered fabric
     // checkpoint (which also pins the resume cut and the epoch base).
-    let (mut snapshot, fabric, skip): (EngineSnapshot, FabricConfig, u64) = if flags.has("resume") {
+    let (mut snapshot, fabric): (EngineSnapshot, FabricConfig) = if flags.has("resume") {
         let dir = checkpoint_dir.as_deref().expect("checked above");
         let (snapshot, manifest) = Checkpointer::new(dir)
             .recover()
@@ -126,48 +116,26 @@ pub fn run(args: &[String]) -> Result<(), String> {
             epoch_base: manifest.fabric_epoch,
             ..FabricConfig::default()
         };
-        (snapshot, fabric, manifest.cut_seq)
+        (snapshot, fabric)
     } else {
         let engine_path: String = flags.require("engine")?;
-        let json = std::fs::read_to_string(&engine_path)
-            .map_err(|e| format!("cannot read {engine_path}: {e}"))?;
-        let snapshot =
-            serde_json::from_str(&json).map_err(|e| format!("cannot parse {engine_path}: {e}"))?;
-        (snapshot, FabricConfig::default(), 0)
+        (load_engine(&engine_path)?, FabricConfig::default())
     };
     if addrs.is_empty() {
         return Err(
             "--workers is required (or resume a checkpoint that recorded them)".to_string(),
         );
     }
-    snapshot.config.alarm.system_threshold =
-        flags.get_or("system-threshold", snapshot.config.alarm.system_threshold)?;
-    snapshot.config.alarm.measurement_threshold = flags.get_or(
-        "measurement-threshold",
-        snapshot.config.alarm.measurement_threshold,
-    )?;
-    snapshot.config.alarm.min_consecutive =
-        flags.get_or("consecutive", snapshot.config.alarm.min_consecutive)?;
+    apply_alarm_flags(&flags, &mut snapshot)?;
+    // A resumed coordinator has already served (and checkpointed) the
+    // window's snapshots below its start sequence number.
+    let skip = fabric.start_seq;
 
     let trace = load_trace(&trace_path)?;
-    let mut sink = open_history_sink(&flags)?;
+    let sink = open_history_sink(&flags)?;
     let pairs = snapshot.models.len();
-    let metrics_addr: Option<String> = flags.get("metrics")?;
-    let obs = PipelineObs::default();
-    if metrics_addr.is_some() {
-        // The Hello handshake propagates the enabled tracer to every
-        // worker, so one flag lights up the whole fabric.
-        obs.tracer.enable();
-    }
-    if let Some(config) = exemplar_config(&flags)? {
-        // Also handshake-propagated: workers ship span slices inside
-        // their board frames when exemplars are on.
-        obs.exemplar.enable(config);
-    }
-    if let Some(dir) = checkpoint_dir.clone() {
-        install_flight_panic_hook(obs.recorder.clone(), dir);
-    }
-    let mut coordinator = Coordinator::connect_with_obs(snapshot, &addrs, fabric, obs.clone())
+    let obs = pipeline_obs(&flags)?;
+    let coordinator = Coordinator::connect_with_obs(snapshot, &addrs, fabric, obs.clone())
         .map_err(|e| format!("cannot connect the fabric: {e}"))?;
     println!(
         "coordinating {} remote shards ({} pairs) over {:?}",
@@ -175,200 +143,129 @@ pub fn run(args: &[String]) -> Result<(), String> {
         pairs,
         addrs
     );
-    let health_state = Arc::new(HealthState::default());
-    let probe = coordinator.metrics_probe();
-    let sample_probe = coordinator.metrics_probe();
-    let health_probe = coordinator.metrics_probe();
-    let _metrics = start_metrics_with_health(
-        metrics_addr.as_deref(),
-        with_burn_gauges(
-            move || probe.to_prometheus(),
-            move || sample_probe.burn_sample(),
-        ),
-        health_closure(
-            move || health_probe.health_report(),
-            Arc::clone(&health_state),
-        ),
+    let (probe, sample_probe, health_probe) = (
+        coordinator.metrics_probe(),
+        coordinator.metrics_probe(),
+        coordinator.metrics_probe(),
+    );
+    let pump = ReportPump::start(
+        &flags,
+        obs,
+        sink,
+        move || probe.to_prometheus(),
+        move || sample_probe.burn_sample(),
+        move || health_probe.health_report(),
     )?;
-
-    let start = Timestamp::from_days(from_day);
-    let end = Timestamp::from_days(from_day + days);
-    let tick_budget = if rate > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / rate))
-    } else {
-        None
+    let front = FabricFront {
+        coordinator,
+        addrs,
+        reattach_secs: flags.get_or("reattach-secs", 0)?,
+        halt_workers: flags.has("halt-workers"),
     };
-
-    let began = Instant::now();
-    let mut ticks = 0u64;
-    let mut last_at = start.as_secs();
-    let mut tally = ReportTally::default();
-
-    for t in trace.interval().ticks(start, end) {
-        let deadline = tick_budget.map(|budget| Instant::now() + budget);
-        let mut snap = Snapshot::new(t);
-        for id in trace.measurement_ids() {
-            if let Some(v) = trace.series(id).expect("id from trace").value_at(t) {
-                snap.insert(id, v);
-            }
-        }
-        if snap.is_empty() {
-            continue;
-        }
-        ticks += 1;
-        // A resumed coordinator has already served (and checkpointed)
-        // the first `skip` snapshots of the window.
-        if ticks <= skip {
-            continue;
-        }
-        last_at = t.as_secs();
-        coordinator
-            .submit(snap)
-            .map_err(|e| format!("submit failed: {e}"))?;
-        if !coordinator.dead_shards().is_empty() {
-            reattach(&mut coordinator, &addrs, reattach_secs)?;
-        }
-        if checkpoint_every > 0 && (ticks - skip).is_multiple_of(checkpoint_every) {
-            if let Some(dir) = checkpoint_dir.as_deref() {
-                checkpoint(&mut coordinator, &addrs, reattach_secs, dir)?;
-            }
-            let probe = coordinator.metrics_probe();
-            store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-                serde_json::to_string_pretty(&probe.stats()).unwrap_or_default()
-            })?;
-            health_state.note_checkpoint(sink.as_ref().map_or(0, |s| s.store().unsealed_records()));
-        }
-        while let Some(report) = coordinator.try_recv_report() {
-            if !report.alarms.is_empty() {
-                dump_flight(
-                    &obs.recorder,
-                    &obs.exemplar,
-                    &mut sink,
-                    checkpoint_dir.as_deref(),
-                    report.scores.at().as_secs(),
-                    "alarm",
-                );
-            }
-            if let Some(sink) = sink.as_mut() {
-                sink.append_report(&report)
-                    .map_err(|e| format!("history store append failed: {e}"))?;
-            }
-            tally.note(&report);
-        }
-        if let Some(deadline) = deadline {
-            let now = Instant::now();
-            if now < deadline {
-                std::thread::sleep(deadline - now);
-            }
-        }
-    }
-
-    if let Some(dir) = checkpoint_dir.as_deref() {
-        if !coordinator.dead_shards().is_empty() {
-            reattach(&mut coordinator, &addrs, reattach_secs)?;
-        }
-        checkpoint(&mut coordinator, &addrs, reattach_secs, dir)?;
-    }
-    let (rest, stats) = coordinator.shutdown(flags.has("halt-workers"));
-    for report in &rest {
-        if let Some(sink) = sink.as_mut() {
-            sink.append_report(report)
-                .map_err(|e| format!("history store append failed: {e}"))?;
-        }
-        tally.note(report);
-    }
-    dump_flight(
-        &obs.recorder,
-        &obs.exemplar,
-        &mut sink,
-        checkpoint_dir.as_deref(),
-        last_at,
-        "shutdown",
-    );
-    store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-        serde_json::to_string_pretty(&stats).unwrap_or_default()
-    })?;
-    let elapsed = began.elapsed();
-
-    println!(
-        "served {} snapshots over day {from_day}..{} across {} remote shards: \
-         {} reports, {} alarms, {} disconnects, {} migrations, {} boards fenced",
-        ticks.saturating_sub(skip),
-        from_day + days,
-        stats.shards,
-        stats.reports,
-        tally.alarms,
-        stats.disconnects,
-        stats.migrations,
-        stats.stale_boards + stats.duplicate_boards + stats.replayed_boards + stats.bad_boards,
-    );
-    if elapsed.as_secs_f64() > 0.0 {
+    replay(&flags, &trace, front, pump, skip, |stats, ticks, pump| {
         println!(
-            "throughput: {:.1} snapshots/sec (wall {:.2}s)",
-            ticks.saturating_sub(skip) as f64 / elapsed.as_secs_f64(),
-            elapsed.as_secs_f64()
+            "served {ticks} snapshots over day {from_day}..{} across {} remote shards: \
+             {} reports, {} alarms, {} disconnects, {} migrations, {} boards fenced",
+            from_day + days,
+            stats.shards,
+            stats.reports,
+            pump.tally.alarms,
+            stats.disconnects,
+            stats.migrations,
+            stats.stale_boards + stats.duplicate_boards + stats.replayed_boards + stats.bad_boards,
         );
-    }
-    tally.print_floor();
-    if let Some(path) = stats_path.as_deref() {
-        let json = serde_json::to_string_pretty(&stats)
-            .map_err(|e| format!("cannot serialize stats: {e}"))?;
-        write_stats_atomic(path, &json)?;
-        println!("fabric stats written to {path}");
-    }
-    Ok(())
+    })
 }
 
-/// Re-dials dead shards at their original addresses until every shard
-/// is live again or the budget runs out.
-fn reattach(
-    coordinator: &mut Coordinator,
-    addrs: &[String],
+/// The fabric ingestion front as the replay driver sees it: a
+/// coordinator plus the reattach policy that keeps it whole.
+struct FabricFront {
+    coordinator: Coordinator,
+    addrs: Vec<String>,
     reattach_secs: u64,
-) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs(reattach_secs);
-    loop {
-        for shard in coordinator.dead_shards() {
-            match coordinator.attach_worker(shard, &addrs[shard]) {
-                Ok(()) => println!("reattached shard {shard} to {}", addrs[shard]),
-                Err(_) if reattach_secs > 0 => {}
-                Err(e) => return Err(format!("shard {shard} is dead: {e}")),
-            }
+    halt_workers: bool,
+}
+
+impl ReplayFront for FabricFront {
+    type Stats = FabricStats;
+    const STATS_NAME: &'static str = "fabric";
+
+    fn submit(&mut self, snapshot: Snapshot) -> Result<(), String> {
+        self.coordinator
+            .submit(snapshot)
+            .map_err(|e| format!("submit failed: {e}"))?;
+        self.reattach_dead()
+    }
+
+    /// Checkpoints the fabric, reattaching first if a worker died
+    /// between the dead-shard check and the cut.
+    fn checkpoint(&mut self, dir: &str, last: bool) -> Result<(), String> {
+        if last {
+            self.reattach_dead()?;
         }
-        if coordinator.dead_shards().is_empty() {
+        let id = match self.coordinator.checkpoint(dir) {
+            Ok(id) => id,
+            Err(FabricError::Degraded { .. }) if self.reattach_secs > 0 => {
+                self.reattach()?;
+                self.coordinator
+                    .checkpoint(dir)
+                    .map_err(|e| format!("checkpoint failed after reattach: {e}"))?
+            }
+            Err(e) => return Err(format!("checkpoint failed: {e}")),
+        };
+        println!("checkpoint {id} written to {dir}");
+        Ok(())
+    }
+
+    fn try_recv_report(&mut self) -> Option<StepReport> {
+        self.coordinator.try_recv_report()
+    }
+
+    fn stats(&self) -> FabricStats {
+        self.coordinator.stats()
+    }
+
+    fn stats_json(stats: &FabricStats) -> String {
+        serde_json::to_string_pretty(stats).unwrap_or_default()
+    }
+
+    fn shutdown(self) -> (Vec<StepReport>, FabricStats) {
+        self.coordinator.shutdown(self.halt_workers)
+    }
+}
+
+impl FabricFront {
+    fn reattach_dead(&mut self) -> Result<(), String> {
+        if self.coordinator.dead_shards().is_empty() {
             return Ok(());
         }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "shards {:?} still dead after {reattach_secs}s of reattach attempts",
-                coordinator.dead_shards()
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(200));
+        self.reattach()
     }
-}
 
-/// Checkpoints the fabric, reattaching first if a worker died between
-/// the dead-shard check and the cut.
-fn checkpoint(
-    coordinator: &mut Coordinator,
-    addrs: &[String],
-    reattach_secs: u64,
-    dir: &str,
-) -> Result<(), String> {
-    match coordinator.checkpoint(dir) {
-        Ok(id) => {
-            println!("checkpoint {id} written to {dir}");
-            Ok(())
+    /// Re-dials dead shards at their original addresses until every shard
+    /// is live again or the budget runs out.
+    fn reattach(&mut self) -> Result<(), String> {
+        let deadline = Instant::now() + Duration::from_secs(self.reattach_secs);
+        loop {
+            for shard in self.coordinator.dead_shards() {
+                let addr = &self.addrs[shard];
+                match self.coordinator.attach_worker(shard, addr) {
+                    Ok(()) => println!("reattached shard {shard} to {addr}"),
+                    Err(_) if self.reattach_secs > 0 => {}
+                    Err(e) => return Err(format!("shard {shard} is dead: {e}")),
+                }
+            }
+            if self.coordinator.dead_shards().is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "shards {:?} still dead after {}s of reattach attempts",
+                    self.coordinator.dead_shards(),
+                    self.reattach_secs
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(200));
         }
-        Err(FabricError::Degraded { .. }) if reattach_secs > 0 => {
-            reattach(coordinator, addrs, reattach_secs)?;
-            let id = coordinator
-                .checkpoint(dir)
-                .map_err(|e| format!("checkpoint failed after reattach: {e}"))?;
-            println!("checkpoint {id} written to {dir}");
-            Ok(())
-        }
-        Err(e) => Err(format!("checkpoint failed: {e}")),
     }
 }

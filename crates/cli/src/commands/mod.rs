@@ -6,6 +6,7 @@ pub mod eval;
 pub mod history;
 pub mod inspect;
 pub mod monitor;
+pub mod replay;
 pub mod serve;
 pub mod shard_worker;
 pub mod simulate;
@@ -17,6 +18,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use gridwatch_detect::{EngineSnapshot, Snapshot};
 use gridwatch_serve::{HistoryDepth, HistorySink};
 use gridwatch_sim::Trace;
 use gridwatch_store::StoreConfig;
@@ -191,6 +193,42 @@ pub fn load_trace(path: &str) -> Result<Trace, String> {
     Trace::read_csv(std::io::BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
+/// Loads an engine snapshot `gridwatch train` wrote.
+pub fn load_engine(path: &str) -> Result<EngineSnapshot, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&json).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// Applies the alarm-policy overrides (`--system-threshold`,
+/// `--measurement-threshold`, `--consecutive`) onto a loaded snapshot;
+/// an omitted flag keeps the snapshot's own value.
+pub fn apply_alarm_flags(flags: &Flags, snapshot: &mut EngineSnapshot) -> Result<(), String> {
+    let alarm = &mut snapshot.config.alarm;
+    alarm.system_threshold = flags.get_or("system-threshold", alarm.system_threshold)?;
+    alarm.measurement_threshold =
+        flags.get_or("measurement-threshold", alarm.measurement_threshold)?;
+    alarm.min_consecutive = flags.get_or("consecutive", alarm.min_consecutive)?;
+    Ok(())
+}
+
+/// The non-empty snapshots of a trace over `[start, end)`, one per
+/// sampling tick, each holding every measurement that has a value then.
+pub fn trace_snapshots(
+    trace: &Trace,
+    start: Timestamp,
+    end: Timestamp,
+) -> impl Iterator<Item = Snapshot> + '_ {
+    trace.interval().ticks(start, end).filter_map(move |t| {
+        let mut snap = Snapshot::new(t);
+        for id in trace.measurement_ids() {
+            if let Some(v) = trace.series(id).expect("id from trace").value_at(t) {
+                snap.insert(id, v);
+            }
+        }
+        (!snap.is_empty()).then_some(snap)
+    })
+}
+
 /// Writes a string to a file, creating parent directories.
 pub fn write_file(path: &str, contents: &str) -> Result<(), String> {
     if let Some(parent) = Path::new(path).parent() {
@@ -291,69 +329,6 @@ pub fn store_checkpoint<F: FnOnce() -> String>(
         );
     }
     Ok(())
-}
-
-/// Dumps the flight recorder, best-effort: a failed dump must never
-/// take down the serving path it documents.
-///
-/// With a history sink, new events drain into the store (incremental
-/// by global index, then fsynced) and the store's retention bounds
-/// them — the unbounded `flight.jsonl` rewrite is the fallback for
-/// runs without `--store`.
-pub fn dump_flight(
-    recorder: &gridwatch_obs::FlightRecorder,
-    exemplars: &gridwatch_obs::ExemplarTracer,
-    sink: &mut Option<HistorySink>,
-    dir: Option<&str>,
-    at: u64,
-    why: &str,
-) {
-    if let Some(sink) = sink.as_mut() {
-        // Alarm-time dumps also flush the retained exemplar traces,
-        // so the causal record of the alarmed snapshot is durable the
-        // moment the operator goes looking for it.
-        let drained = sink
-            .drain_recorder(recorder, at)
-            .and_then(|n| {
-                if exemplars.is_enabled() {
-                    sink.drain_exemplars(exemplars).map(|_| n)
-                } else {
-                    Ok(n)
-                }
-            })
-            .and_then(|n| sink.sync().map(|()| n));
-        match drained {
-            Ok(n) => {
-                gridwatch_obs::info!(
-                    "obs",
-                    "flight recorder drained into {} ({n} new events, {why})",
-                    sink.store().dir().display()
-                );
-            }
-            Err(e) => {
-                gridwatch_obs::warn!("obs", "cannot drain flight recorder into the store: {e}");
-            }
-        }
-        return;
-    }
-    let Some(dir) = dir else { return };
-    let path = Path::new(dir).join("flight.jsonl");
-    match recorder.dump(&path) {
-        Ok(()) => {
-            gridwatch_obs::info!(
-                "obs",
-                "flight recorder dumped to {} ({why})",
-                path.display()
-            );
-        }
-        Err(e) => {
-            gridwatch_obs::warn!(
-                "obs",
-                "cannot dump flight recorder to {}: {e}",
-                path.display()
-            );
-        }
-    }
 }
 
 /// Installs a panic hook that dumps the flight recorder before the

@@ -1,12 +1,16 @@
 //! `gridwatch monitor` — stream a time range of a trace through a
 //! persisted engine, printing alarms and incident drill-downs.
 
-use gridwatch_detect::{DetectionEngine, EngineSnapshot, IncidentReport, Snapshot};
+use gridwatch_detect::{DetectionEngine, IncidentReport};
 use gridwatch_obs::FlightEvent;
 use gridwatch_store::{Record, RecordKind};
 use gridwatch_timeseries::Timestamp;
 
-use crate::commands::{load_trace, open_history_sink, store_checkpoint, STORE_HELP};
+use crate::commands::replay::ReportTally;
+use crate::commands::{
+    apply_alarm_flags, load_engine, load_trace, open_history_sink, store_checkpoint,
+    trace_snapshots, STORE_HELP,
+};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -39,18 +43,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let days: u64 = flags.get_or("days", 1)?;
 
     let trace = load_trace(&trace_path)?;
-    let json = std::fs::read_to_string(&engine_path)
-        .map_err(|e| format!("cannot read {engine_path}: {e}"))?;
-    let mut snapshot: EngineSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {engine_path}: {e}"))?;
-    snapshot.config.alarm.system_threshold =
-        flags.get_or("system-threshold", snapshot.config.alarm.system_threshold)?;
-    snapshot.config.alarm.measurement_threshold = flags.get_or(
-        "measurement-threshold",
-        snapshot.config.alarm.measurement_threshold,
-    )?;
-    snapshot.config.alarm.min_consecutive =
-        flags.get_or("consecutive", snapshot.config.alarm.min_consecutive)?;
+    let mut snapshot = load_engine(&engine_path)?;
+    apply_alarm_flags(&flags, &mut snapshot)?;
     let mut engine = DetectionEngine::from_snapshot(snapshot);
     // The flight recorder gives `--incidents` reports their run-up: the
     // engine logs alarm events into the shared ring as it steps.
@@ -61,35 +55,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let start = Timestamp::from_days(from_day);
     let end = Timestamp::from_days(from_day + days);
     let mut ticks = 0usize;
-    let mut alarms = 0usize;
     let mut last_at = start.as_secs();
-    let mut q_min: Option<(Timestamp, f64)> = None;
-    for t in trace.interval().ticks(start, end) {
-        let mut snap = Snapshot::new(t);
-        for id in trace.measurement_ids() {
-            if let Some(v) = trace.series(id).expect("id from trace").value_at(t) {
-                snap.insert(id, v);
-            }
-        }
-        if snap.is_empty() {
-            continue;
-        }
+    let mut tally = ReportTally::default();
+    for snap in trace_snapshots(&trace, start, end) {
         ticks += 1;
-        last_at = t.as_secs();
+        last_at = snap.at().as_secs();
         let report = engine.step(&snap);
-        if let Some(q) = report.scores.system_score() {
-            if q_min.is_none_or(|(_, min)| q < min) {
-                q_min = Some((t, q));
-            }
-        }
         if let Some(sink) = sink.as_mut() {
             sink.append_report(&report)
                 .map_err(|e| format!("history store append failed: {e}"))?;
         }
-        for alarm in &report.alarms {
-            alarms += 1;
-            println!("ALARM {alarm}");
-        }
+        tally.note(&report);
         if !report.alarms.is_empty() && flags.has("incidents") {
             let events = match sink.as_mut() {
                 // With a store, read the run-up back from it: the ring's
@@ -107,6 +83,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             println!("{incident}");
         }
     }
+    let alarms = tally.alarms;
     store_checkpoint(
         &mut sink,
         &recorder,
@@ -118,9 +95,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "monitored {ticks} snapshots over day {from_day}..{}; {alarms} alarms",
         from_day + days
     );
-    if let Some((t, q)) = q_min {
-        println!("lowest system fitness: {q:.4} at {t}");
-    }
+    tally.print_floor();
     if let Some(sink) = sink.as_ref() {
         println!(
             "history store {}: sealed through seq {}",

@@ -5,23 +5,16 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwatch_detect::{EngineSnapshot, SketchConfig, Snapshot, StepReport};
 use gridwatch_serve::{
-    BackpressurePolicy, Checkpointer, NetConfig, NetServer, SamplingConfig, ServeConfig,
-    ShardedEngine, WireProtocol,
+    burn_sample_from, BackpressurePolicy, Checkpointer, NetConfig, NetServer, SamplingConfig,
+    ServeConfig, ServeStats, ShardedEngine, WireProtocol,
 };
-use gridwatch_timeseries::Timestamp;
 
-use gridwatch_obs::PipelineObs;
-
-use crate::commands::{
-    dump_flight, exemplar_config, health_closure, install_flight_panic_hook, load_trace,
-    open_history_sink, start_metrics_with_health, store_checkpoint, with_burn_gauges,
-    write_stats_atomic, HealthState,
-};
+use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump};
+use crate::commands::{apply_alarm_flags, load_engine, load_trace, open_history_sink};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -127,33 +120,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Tracks alarms and the lowest system fitness across a report stream.
-#[derive(Default)]
-pub(crate) struct ReportTally {
-    pub(crate) alarms: usize,
-    q_min: Option<(Timestamp, f64)>,
-}
-
-impl ReportTally {
-    pub(crate) fn note(&mut self, report: &StepReport) {
-        if let Some(q) = report.scores.system_score() {
-            if self.q_min.is_none_or(|(_, min)| q < min) {
-                self.q_min = Some((report.scores.at(), q));
-            }
-        }
-        for alarm in &report.alarms {
-            self.alarms += 1;
-            println!("ALARM {alarm}");
-        }
-    }
-
-    pub(crate) fn print_floor(&self) {
-        if let Some((t, q)) = self.q_min {
-            println!("lowest system fitness: {q:.4} at {t}");
-        }
-    }
-}
-
 /// Engine tuning shared by both modes.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     let sampling = match flags.get::<u8>("sample-watermark")? {
@@ -198,19 +164,9 @@ fn load_snapshot(
         sources = manifest.sources;
         snapshot
     } else {
-        let engine_path: String = flags.require("engine")?;
-        let json = std::fs::read_to_string(&engine_path)
-            .map_err(|e| format!("cannot read {engine_path}: {e}"))?;
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {engine_path}: {e}"))?
+        load_engine(&flags.require::<String>("engine")?)?
     };
-    snapshot.config.alarm.system_threshold =
-        flags.get_or("system-threshold", snapshot.config.alarm.system_threshold)?;
-    snapshot.config.alarm.measurement_threshold = flags.get_or(
-        "measurement-threshold",
-        snapshot.config.alarm.measurement_threshold,
-    )?;
-    snapshot.config.alarm.min_consecutive =
-        flags.get_or("consecutive", snapshot.config.alarm.min_consecutive)?;
+    apply_alarm_flags(flags, &mut snapshot)?;
     apply_sketch_flags(flags, &mut snapshot)?;
     Ok((snapshot, sources))
 }
@@ -259,182 +215,102 @@ fn apply_sketch_flags(flags: &Flags, snapshot: &mut EngineSnapshot) -> Result<()
     Ok(())
 }
 
+/// The in-process ingestion front as the replay driver sees it.
+struct LocalFront(ShardedEngine);
+
+impl ReplayFront for LocalFront {
+    type Stats = ServeStats;
+    const STATS_NAME: &'static str = "serving";
+
+    fn submit(&mut self, snapshot: Snapshot) -> Result<(), String> {
+        self.0.submit(snapshot);
+        Ok(())
+    }
+
+    fn checkpoint(&mut self, dir: &str, last: bool) -> Result<(), String> {
+        let manifest = self
+            .0
+            .checkpoint(dir)
+            .map_err(|e| format!("checkpoint failed: {e}"))?;
+        let which = if last {
+            "final checkpoint"
+        } else {
+            "checkpoint"
+        };
+        println!("{which} written to {dir} (cut seq {})", manifest.cut_seq);
+        Ok(())
+    }
+
+    fn try_recv_report(&mut self) -> Option<StepReport> {
+        self.0.try_recv_report()
+    }
+
+    fn stats(&self) -> ServeStats {
+        self.0.stats()
+    }
+
+    fn stats_json(stats: &ServeStats) -> String {
+        stats.to_json()
+    }
+
+    fn shutdown(self) -> (Vec<StepReport>, ServeStats) {
+        self.0.shutdown()
+    }
+}
+
 /// Replays a trace file through the engine.
 fn run_replay(flags: &Flags) -> Result<(), String> {
     let trace_path: String = flags.require("trace")?;
     let from_day: u64 = flags.get_or("from-day", 15)?;
     let days: u64 = flags.get_or("days", 1)?;
-    let rate: f64 = flags.get_or("rate", 0.0)?;
     let checkpoint_dir: Option<String> = flags.get("checkpoint")?;
-    let checkpoint_every: u64 = flags.get_or("checkpoint-every", 0)?;
-    let stats_path: Option<String> = flags.get("stats")?;
     let serve_config = serve_config(flags)?;
 
     let trace = load_trace(&trace_path)?;
     let (snapshot, _) = load_snapshot(flags, checkpoint_dir.as_deref())?;
-    let mut sink = open_history_sink(flags)?;
-
-    let metrics_addr: Option<String> = flags.get("metrics")?;
-    let obs = PipelineObs::default();
-    if metrics_addr.is_some() {
-        // Tracing costs nothing while disabled; the metrics endpoint
-        // is its only consumer, so the flag doubles as the switch.
-        obs.tracer.enable();
-    }
-    if let Some(config) = exemplar_config(flags)? {
-        obs.exemplar.enable(config);
-    }
-    if let Some(dir) = checkpoint_dir.clone() {
-        install_flight_panic_hook(obs.recorder.clone(), dir);
-    }
-    let mut engine = ShardedEngine::start_with_obs(snapshot, serve_config, obs.clone());
-    let health_state = Arc::new(HealthState::default());
-    let probe = engine.stats_probe();
-    let sample_probe = engine.stats_probe();
-    let sample_obs = obs.clone();
-    let health_probe = engine.stats_probe();
-    let _metrics = start_metrics_with_health(
-        metrics_addr.as_deref(),
-        with_burn_gauges(
-            move || probe.to_prometheus(),
-            move || gridwatch_serve::burn_sample_from(&sample_probe.stats(), &sample_obs.tracer),
-        ),
-        health_closure(
-            move || health_probe.health_report(),
-            Arc::clone(&health_state),
-        ),
+    let sink = open_history_sink(flags)?;
+    let obs = pipeline_obs(flags)?;
+    let engine = ShardedEngine::start_with_obs(snapshot, serve_config, obs.clone());
+    let (probe, sample_probe, health_probe) = (
+        engine.stats_probe(),
+        engine.stats_probe(),
+        engine.stats_probe(),
+    );
+    let pump = ReportPump::start(
+        flags,
+        obs,
+        sink,
+        move || probe.to_prometheus(),
+        move || burn_sample_from(&sample_probe.stats(), &sample_probe.obs().tracer),
+        move || health_probe.health_report(),
     )?;
-    let start = Timestamp::from_days(from_day);
-    let end = Timestamp::from_days(from_day + days);
-    let tick_budget = if rate > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / rate))
-    } else {
-        None
-    };
-
-    let began = Instant::now();
-    let mut ticks = 0u64;
-    let mut last_at = start.as_secs();
-    let mut tally = ReportTally::default();
-
-    for t in trace.interval().ticks(start, end) {
-        let deadline = tick_budget.map(|budget| Instant::now() + budget);
-        let mut snap = Snapshot::new(t);
-        for id in trace.measurement_ids() {
-            if let Some(v) = trace.series(id).expect("id from trace").value_at(t) {
-                snap.insert(id, v);
-            }
-        }
-        if snap.is_empty() {
-            continue;
-        }
-        engine.submit(snap);
-        ticks += 1;
-        last_at = t.as_secs();
-        if checkpoint_every > 0 && ticks.is_multiple_of(checkpoint_every) {
-            if let Some(dir) = checkpoint_dir.as_deref() {
-                let manifest = engine
-                    .checkpoint(dir)
-                    .map_err(|e| format!("checkpoint failed: {e}"))?;
-                println!("checkpoint written to {dir} (cut seq {})", manifest.cut_seq);
-                // Flush stats alongside every checkpoint, not only at exit,
-                // so an operator watching a long replay (or recovering from
-                // a crash) sees eviction counts from the same cut.
-                if let Some(path) = stats_path.as_deref() {
-                    write_stats_atomic(path, &engine.stats().to_json())?;
-                }
-            }
-            store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-                engine.stats().to_json()
-            })?;
-            health_state.note_checkpoint(sink.as_ref().map_or(0, |s| s.store().unsealed_records()));
-        }
-        while let Some(report) = engine.try_recv_report() {
-            if !report.alarms.is_empty() {
-                dump_flight(
-                    &obs.recorder,
-                    &obs.exemplar,
-                    &mut sink,
-                    checkpoint_dir.as_deref(),
-                    report.scores.at().as_secs(),
-                    "alarm",
+    replay(
+        flags,
+        &trace,
+        LocalFront(engine),
+        pump,
+        0,
+        |stats, ticks, pump| {
+            if let Some(sink) = pump.sink.as_ref() {
+                println!(
+                    "history store {}: sealed through seq {}",
+                    sink.store().dir().display(),
+                    sink.store().next_seq()
                 );
             }
-            if let Some(sink) = sink.as_mut() {
-                sink.append_report(&report)
-                    .map_err(|e| format!("history store append failed: {e}"))?;
-            }
-            tally.note(&report);
-        }
-        if let Some(deadline) = deadline {
-            let now = Instant::now();
-            if now < deadline {
-                std::thread::sleep(deadline - now);
-            }
-        }
-    }
-
-    if let Some(dir) = checkpoint_dir.as_deref() {
-        let manifest = engine
-            .checkpoint(dir)
-            .map_err(|e| format!("checkpoint failed: {e}"))?;
-        println!(
-            "final checkpoint written to {dir} (cut seq {})",
-            manifest.cut_seq
-        );
-    }
-    let (rest, stats) = engine.shutdown();
-    for report in &rest {
-        if let Some(sink) = sink.as_mut() {
-            sink.append_report(report)
-                .map_err(|e| format!("history store append failed: {e}"))?;
-        }
-        tally.note(report);
-    }
-    dump_flight(
-        &obs.recorder,
-        &obs.exemplar,
-        &mut sink,
-        checkpoint_dir.as_deref(),
-        last_at,
-        "shutdown",
-    );
-    store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-        stats.to_json()
-    })?;
-    if let Some(sink) = sink.as_ref() {
-        println!(
-            "history store {}: sealed through seq {}",
-            sink.store().dir().display(),
-            sink.store().next_seq()
-        );
-    }
-    let elapsed = began.elapsed();
-
-    println!(
-        "served {ticks} snapshots over day {from_day}..{} across {} shards ({}): \
-         {} reports, {} alarms, {} evicted, {} rejected",
-        from_day + days,
-        stats.shards.len(),
-        serve_config.backpressure,
-        stats.reports,
-        tally.alarms,
-        stats.total_evicted(),
-        stats.rejected,
-    );
-    if elapsed.as_secs_f64() > 0.0 {
-        println!(
-            "throughput: {:.1} snapshots/sec (wall {:.2}s)",
-            ticks as f64 / elapsed.as_secs_f64(),
-            elapsed.as_secs_f64()
-        );
-    }
-    tally.print_floor();
-    if let Some(path) = stats_path.as_deref() {
-        write_stats_atomic(path, &stats.to_json())?;
-        println!("serving stats written to {path}");
-    }
-    Ok(())
+            println!(
+                "served {ticks} snapshots over day {from_day}..{} across {} shards ({}): \
+                 {} reports, {} alarms, {} evicted, {} rejected",
+                from_day + days,
+                stats.shards.len(),
+                serve_config.backpressure,
+                stats.reports,
+                pump.tally.alarms,
+                stats.total_evicted(),
+                stats.rejected,
+            );
+        },
+    )
 }
 
 /// Listens on a TCP socket and feeds live frames to the engine.
@@ -442,6 +318,7 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
     let checkpoint_dir: Option<String> = flags.get("checkpoint")?;
     let stats_path: Option<String> = flags.get("stats")?;
     let max_snapshots: u64 = flags.get_or("max-snapshots", 0)?;
+    let checkpoint_every: u64 = flags.get_or("checkpoint-every", 0)?;
     let serve_config = serve_config(flags)?;
     let net_config = NetConfig {
         protocol: flags.get_or("protocol", WireProtocol::Auto)?,
@@ -450,7 +327,7 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
         ingest_capacity: flags.get_or("ingest-capacity", 256)?,
         reorder_capacity: flags.get_or("reorder-capacity", 64)?,
         checkpoint_dir: checkpoint_dir.as_deref().map(PathBuf::from),
-        checkpoint_every: flags.get_or("checkpoint-every", 0)?,
+        checkpoint_every,
         stats_path: stats_path.as_deref().map(PathBuf::from),
     };
     if net_config.max_frame_bytes == 0 {
@@ -464,19 +341,8 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
     }
 
     let (snapshot, sources) = load_snapshot(flags, checkpoint_dir.as_deref())?;
-    let mut sink = open_history_sink(flags)?;
-    let checkpoint_every: u64 = flags.get_or("checkpoint-every", 0)?;
-    let metrics_addr: Option<String> = flags.get("metrics")?;
-    let obs = PipelineObs::default();
-    if metrics_addr.is_some() {
-        obs.tracer.enable();
-    }
-    if let Some(config) = exemplar_config(flags)? {
-        obs.exemplar.enable(config);
-    }
-    if let Some(dir) = checkpoint_dir.clone() {
-        install_flight_panic_hook(obs.recorder.clone(), dir);
-    }
+    let sink = open_history_sink(flags)?;
+    let obs = pipeline_obs(flags)?;
     let server = NetServer::bind_with_obs(
         addr,
         snapshot,
@@ -496,74 +362,36 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
     std::io::stdout()
         .flush()
         .map_err(|e| format!("stdout: {e}"))?;
-    let health_state = Arc::new(HealthState::default());
-    let probe = server.metrics_probe();
-    let sample_probe = server.metrics_probe();
-    let sample_obs = obs.clone();
-    let health_probe = server.metrics_probe();
-    let _metrics = start_metrics_with_health(
-        metrics_addr.as_deref(),
-        with_burn_gauges(
-            move || probe.to_prometheus(),
-            move || gridwatch_serve::burn_sample_from(&sample_probe.stats(), &sample_obs.tracer),
-        ),
-        health_closure(
-            move || health_probe.health_report(),
-            Arc::clone(&health_state),
-        ),
+    let (probe, sample_probe, health_probe) = (
+        server.metrics_probe(),
+        server.metrics_probe(),
+        server.metrics_probe(),
+    );
+    let mut pump = ReportPump::start(
+        flags,
+        obs,
+        sink,
+        move || probe.to_prometheus(),
+        move || burn_sample_from(&sample_probe.stats(), &sample_probe.obs().tracer),
+        move || health_probe.health_report(),
     )?;
 
     let began = Instant::now();
-    let mut tally = ReportTally::default();
     let mut seen = 0u64;
     let mut last_at = 0u64;
     while max_snapshots == 0 || seen < max_snapshots {
         if let Some(report) = server.recv_report_timeout(Duration::from_millis(500)) {
             seen += 1;
             last_at = report.scores.at().as_secs();
-            if !report.alarms.is_empty() {
-                dump_flight(
-                    &obs.recorder,
-                    &obs.exemplar,
-                    &mut sink,
-                    checkpoint_dir.as_deref(),
-                    last_at,
-                    "alarm",
-                );
-            }
-            if let Some(sink) = sink.as_mut() {
-                sink.append_report(&report)
-                    .map_err(|e| format!("history store append failed: {e}"))?;
-            }
+            pump.pump(&report)?;
             if checkpoint_every > 0 && seen.is_multiple_of(checkpoint_every) {
-                store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-                    server.metrics_probe().stats().to_json()
-                })?;
-                health_state
-                    .note_checkpoint(sink.as_ref().map_or(0, |s| s.store().unsealed_records()));
+                pump.upkeep(last_at, || server.metrics_probe().stats().to_json())?;
             }
-            tally.note(&report);
         }
     }
     let (rest, stats) = server.shutdown();
-    for report in &rest {
-        if let Some(sink) = sink.as_mut() {
-            sink.append_report(report)
-                .map_err(|e| format!("history store append failed: {e}"))?;
-        }
-        tally.note(report);
-    }
-    dump_flight(
-        &obs.recorder,
-        &obs.exemplar,
-        &mut sink,
-        checkpoint_dir.as_deref(),
-        last_at,
-        "shutdown",
-    );
-    store_checkpoint(&mut sink, &obs.recorder, &obs.exemplar, last_at, || {
-        stats.to_json()
-    })?;
+    let json = stats.to_json();
+    pump.finish(&rest, last_at, &json)?;
     let elapsed = began.elapsed();
 
     println!(
@@ -584,15 +412,10 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
         stats.shards.len(),
         serve_config.backpressure,
         stats.reports,
-        tally.alarms,
+        pump.tally.alarms,
         stats.total_evicted(),
         stats.rejected,
         elapsed.as_secs_f64(),
     );
-    tally.print_floor();
-    if let Some(path) = stats_path.as_deref() {
-        write_stats_atomic(path, &stats.to_json())?;
-        println!("serving stats written to {path}");
-    }
-    Ok(())
+    pump.close(flags, LocalFront::STATS_NAME, &json)
 }

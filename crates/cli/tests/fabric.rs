@@ -277,6 +277,7 @@ fn killed_coordinator_resumes_from_an_audited_checkpoint() {
     let dir = tmp_dir("resume");
     let (trace, engine) = fixture(&dir);
     let ckpt = dir.join("ckpt").to_string_lossy().to_string();
+    let stats = dir.join("stats.json");
 
     let (w0, a0) = spawn_worker("127.0.0.1:0");
     let (w1, a1) = spawn_worker("127.0.0.1:0");
@@ -296,6 +297,8 @@ fn killed_coordinator_resumes_from_an_audited_checkpoint() {
             &ckpt,
             "--checkpoint-every",
             "60",
+            "--stats",
+            stats.to_str().unwrap(),
         ],
         "coordinating ",
     )
@@ -322,6 +325,33 @@ fn killed_coordinator_resumes_from_an_audited_checkpoint() {
             break;
         }
         assert!(Instant::now() < deadline, "no checkpoint landed");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    // `--stats` is flushed at every cut, not only at exit: the file is
+    // there mid-run, whole, counting the cut it rode with and fewer
+    // snapshots than the ~240 the window holds.
+    let field = |text: &str, name: &str| -> Option<u64> {
+        let rest = text.split(&format!("\"{name}\":")).nth(1)?;
+        let digits = rest.trim().split(|c: char| !c.is_ascii_digit()).next()?;
+        digits.parse().ok()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let flushed = std::fs::read_to_string(&stats).unwrap_or_default();
+        if !flushed.is_empty() {
+            assert!(flushed.trim_end().ends_with('}'), "torn stats: {flushed}");
+            assert!(field(&flushed, "checkpoints") >= Some(1), "{flushed}");
+            let submitted = field(&flushed, "submitted").expect("submitted counter");
+            assert!(
+                (60..240).contains(&submitted),
+                "not a mid-run flush: {flushed}"
+            );
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no stats flush rode the mid-run checkpoint"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     coord.kill();

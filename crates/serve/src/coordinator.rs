@@ -45,12 +45,11 @@ use crossbeam::channel::{self, Receiver, Sender};
 use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
-use gridwatch_detect::{
-    AlarmTracker, EngineConfig, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
-};
+use gridwatch_detect::{AlarmTracker, EngineSnapshot, Snapshot, StepReport};
 use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
 
-use crate::checkpoint::{CheckpointManifest, Checkpointer, RemoteShard};
+use crate::checkpoint::{Checkpointer, RemoteShard};
+use crate::merge::{Cut, StepMerger, Tally};
 use crate::remote::{
     decode_response, encode_control, io_ctx, read_frame, write_frame, BoardFrame, FabricControl,
     FabricError, FabricResponse,
@@ -152,36 +151,7 @@ enum CoordMsg {
         shard: usize,
         epoch: u64,
     },
-    CheckpointBegin {
-        id: u64,
-        cut_seq: u64,
-        dir: PathBuf,
-        fabric_epoch: u64,
-        remote: Vec<RemoteShard>,
-        ack: Sender<Result<(), FabricError>>,
-    },
-}
-
-/// One step awaiting boards from every shard.
-struct PendingStep {
-    board: Option<ScoreBoard>,
-    replied: Vec<bool>,
-}
-
-/// An in-flight checkpoint inside the merge thread.
-struct CheckpointOp {
-    id: u64,
-    cut_seq: u64,
-    checkpointer: Checkpointer,
-    fabric_epoch: u64,
-    remote: Vec<RemoteShard>,
-    ack: Sender<Result<(), FabricError>>,
-    files: Vec<Option<String>>,
-    received: usize,
-    error: Option<FabricError>,
-    /// Sketch candidates persisted across the shard states received so
-    /// far, summed into [`CheckpointManifest::candidate_pairs`].
-    candidates: usize,
+    CheckpointBegin(Cut<FabricError>),
 }
 
 /// The coordinator of a multi-node shard fabric. Single-threaded front
@@ -420,19 +390,40 @@ impl Coordinator {
             let slots = Arc::clone(&slots);
             let state_cache = Arc::clone(&state_cache);
             let stats = Arc::clone(&stats);
+            let tally_stats = Arc::clone(&stats);
             let closing = Arc::clone(&closing);
-            let start_seq = fabric.start_seq;
             let merge_obs = obs.clone();
+            let merger = StepMerger::new(
+                shards,
+                config,
+                tracker,
+                fabric.start_seq,
+                reports_tx,
+                obs.clone(),
+                "merge",
+                move |tally| {
+                    let mut stats = tally_stats.lock();
+                    match tally {
+                        Tally::Report { alarms } => {
+                            stats.reports += 1;
+                            stats.alarms += alarms as u64;
+                        }
+                        Tally::Duplicate => stats.duplicate_boards += 1,
+                        Tally::Replayed => stats.replayed_boards += 1,
+                        Tally::Bad => stats.bad_boards += 1,
+                        Tally::Checkpoint => stats.checkpoints += 1,
+                        // Workers never tombstone a step, so a fabric
+                        // step always finalizes with a board.
+                        Tally::EmptyStep => {}
+                    }
+                },
+            );
             thread::Builder::new()
                 .name("fabric-merge".to_string())
                 .spawn(move || {
                     merge_loop(
-                        shards,
-                        config,
-                        tracker,
-                        start_seq,
+                        merger,
                         merge_rx,
-                        reports_tx,
                         slots,
                         state_cache,
                         stats,
@@ -764,14 +755,15 @@ impl Coordinator {
         // worker states it has also merged every pre-cut board: the
         // manifest's tracker is exactly the tracker at the cut.
         merge_tx
-            .send(CoordMsg::CheckpointBegin {
+            .send(CoordMsg::CheckpointBegin(Cut {
                 id,
                 cut_seq,
                 dir,
+                sources: BTreeMap::new(),
                 fabric_epoch: self.epoch_counter,
                 remote,
                 ack: ack_tx,
-            })
+            }))
             .map_err(|_| FabricError::Protocol("merge thread is gone".to_string()))?;
         let marker = encode_control(&FabricControl::Checkpoint { id })?;
         for shard in 0..self.shards {
@@ -789,7 +781,7 @@ impl Coordinator {
         let deadline = Instant::now() + self.fabric.checkpoint_timeout;
         loop {
             match ack_rx.try_recv() {
-                Ok(Ok(())) => {
+                Ok(Ok(_manifest)) => {
                     while self.journal.front().is_some_and(|(seq, _)| *seq < cut_seq) {
                         self.journal.pop_front();
                     }
@@ -917,35 +909,27 @@ fn reader_loop(shard: usize, epoch: u64, mut stream: TcpStream, tx: Sender<Coord
     }
 }
 
-/// The merge thread: fences stale boards, dedups replay overlap,
-/// merges partial boards, finalizes steps in sequence order, evaluates
-/// alarms on the merged board, and executes checkpoints.
-#[allow(clippy::too_many_arguments)]
-fn merge_loop(
-    shards: usize,
-    config: EngineConfig,
-    mut tracker: AlarmTracker,
-    start_seq: u64,
+/// The merge thread: the fabric adapter over the [`StepMerger`]. It
+/// fences stale boards, persists and caches the shard states a
+/// checkpoint collects, and handles disconnects; merging, replay
+/// dedup, in-order finalization, alarms, reports and manifests are the
+/// merger's.
+fn merge_loop<T: FnMut(Tally)>(
+    mut merger: StepMerger<FabricError, T>,
     rx: Receiver<CoordMsg>,
-    reports_tx: Sender<StepReport>,
     slots: Slots,
     state_cache: Arc<OrderedMutex<Vec<StateEntry>>>,
     stats: Arc<OrderedMutex<FabricStats>>,
     closing: Arc<std::sync::atomic::AtomicBool>,
     obs: PipelineObs,
 ) {
-    let mut pending: BTreeMap<u64, PendingStep> = BTreeMap::new();
-    let mut next_emit = start_seq;
-    let mut checkpoint: Option<CheckpointOp> = None;
-
     while let Ok(msg) = rx.recv() {
         match msg {
-            CoordMsg::Board(frame) => {
-                if frame.shard >= shards {
-                    stats.lock().bad_boards += 1;
-                } else {
+            CoordMsg::Board(frame) => match slots.get(frame.shard) {
+                None => stats.lock().bad_boards += 1,
+                Some(slot) => {
                     let (slot_epoch, slot_live) = {
-                        let slot = slots[frame.shard].lock();
+                        let slot = slot.lock();
                         (slot.epoch, slot.live)
                     };
                     if !slot_live || frame.epoch != slot_epoch {
@@ -957,90 +941,38 @@ fn merge_loop(
                                 frame.seq, frame.shard, frame.epoch, slot_epoch
                             ),
                         );
-                    } else if frame.seq < next_emit {
-                        stats.lock().replayed_boards += 1;
                     } else {
-                        let traced = obs.exemplar.is_enabled();
-                        let merge_start = if traced { obs.exemplar.now_ns() } else { 0 };
-                        let _merge = obs.tracer.span(Stage::Merge);
-                        let entry = pending.entry(frame.seq).or_insert_with(|| PendingStep {
-                            board: None,
-                            replied: vec![false; shards],
-                        });
-                        if entry.replied[frame.shard] {
-                            stats.lock().duplicate_boards += 1;
-                        } else {
-                            // The worker's scoring time rides the frame,
-                            // so remote Score work lands in the
-                            // coordinator's distribution. Only accepted
-                            // boards count — fenced and duplicate boards
-                            // scored nothing new.
-                            obs.tracer.record_ns(Stage::Score, frame.score_ns);
-                            if traced {
-                                // Worker-side slices (ingest/decode/
-                                // score) ride the accepted board.
-                                obs.exemplar.record_slices(frame.seq, &frame.spans);
-                            }
-                            match entry.board.as_mut() {
-                                None => {
-                                    entry.board = Some(frame.board);
-                                    entry.replied[frame.shard] = true;
-                                }
-                                Some(merged) => {
-                                    if merged.try_merge(frame.board).is_ok() {
-                                        entry.replied[frame.shard] = true;
-                                    } else {
-                                        stats.lock().bad_boards += 1;
-                                    }
-                                }
-                            }
-                            if traced {
-                                obs.exemplar.record(
-                                    frame.seq,
-                                    SpanSlice::new(
-                                        Stage::Merge,
-                                        merge_start,
-                                        obs.exemplar.now_ns().saturating_sub(merge_start),
-                                        "merge",
-                                    ),
-                                );
-                            }
-                        }
+                        // The worker's scoring time and its exemplar
+                        // slices (ingest/decode/score) ride the frame,
+                        // so remote work lands in the coordinator's
+                        // distributions and traces.
+                        merger.offer(
+                            frame.shard,
+                            frame.seq,
+                            frame.board,
+                            frame.score_ns,
+                            &frame.spans,
+                        );
                     }
                 }
-            }
+            },
             CoordMsg::State {
                 shard,
                 epoch,
                 id,
                 state,
             } => {
-                if let Some(op) = checkpoint.as_mut() {
-                    // Epoch 0 is never allocated, so a bad shard index
-                    // can never match a live assignment.
-                    let current_epoch = slots.get(shard).map(|slot| slot.lock().epoch).unwrap_or(0);
-                    if shard < shards
-                        && op.id == id
-                        && epoch == current_epoch
-                        && op.files[shard].is_none()
-                    {
-                        match op.checkpointer.write_shard(shard, &state) {
-                            Ok(name) => {
-                                op.files[shard] = Some(name);
-                                op.received += 1;
-                                op.candidates += state.candidates.len();
-                                state_cache.lock()[shard] = StateEntry {
-                                    cut: op.cut_seq,
-                                    state: *state,
-                                };
-                            }
-                            Err(e) => {
-                                if op.error.is_none() {
-                                    op.error = Some(FabricError::Checkpoint(e));
-                                }
-                                op.received += 1;
-                            }
+                // Epoch 0 is never allocated, so a bad shard index
+                // can never match a live assignment.
+                let current_epoch = slots.get(shard).map(|slot| slot.lock().epoch).unwrap_or(0);
+                if epoch == current_epoch {
+                    if let Some((checkpointer, cut)) = merger.cut_awaiting(shard, id) {
+                        let result = checkpointer.write_shard(shard, &state);
+                        let candidates = state.candidates.len();
+                        if result.is_ok() {
+                            state_cache.lock()[shard] = StateEntry { cut, state: *state };
                         }
+                        merger.shard_file(shard, id, result.map_err(Into::into), candidates);
                     }
                 }
             }
@@ -1067,174 +999,11 @@ fn merge_loop(
                     }
                     // A checkpoint still waiting on this worker's state
                     // can never complete.
-                    if let Some(op) = checkpoint.take() {
-                        if op.files.get(shard).is_some_and(|f| f.is_none()) {
-                            let _ = op
-                                .ack
-                                .send(Err(FabricError::Degraded { dead: vec![shard] }));
-                        } else {
-                            checkpoint = Some(op);
-                        }
-                    }
+                    merger.fail_cut_awaiting(shard, FabricError::Degraded { dead: vec![shard] });
                 }
             }
-            CoordMsg::CheckpointBegin {
-                id,
-                cut_seq,
-                dir,
-                fabric_epoch,
-                remote,
-                ack,
-            } => {
-                if let Some(stale) = checkpoint.take() {
-                    let _ = stale.ack.send(Err(FabricError::Protocol(
-                        "superseded by a newer checkpoint".to_string(),
-                    )));
-                }
-                checkpoint = Some(CheckpointOp {
-                    id,
-                    cut_seq,
-                    checkpointer: Checkpointer::new(dir),
-                    fabric_epoch,
-                    remote,
-                    ack,
-                    files: (0..shards).map(|_| None).collect(),
-                    received: 0,
-                    error: None,
-                    candidates: 0,
-                });
-            }
+            CoordMsg::CheckpointBegin(cut) => merger.begin_cut(cut),
         }
-
-        // Finalize every fully-replied step at the head of the queue.
-        loop {
-            let complete = pending
-                .first_key_value()
-                .is_some_and(|(_, entry)| entry.replied.iter().all(|&replied| replied));
-            if !complete {
-                break;
-            }
-            if let Some((seq, entry)) = pending.pop_first() {
-                next_emit = seq + 1;
-                if let Some(board) = entry.board {
-                    let traced = obs.exemplar.is_enabled();
-                    let report_start = if traced { obs.exemplar.now_ns() } else { 0 };
-                    let _report_span = obs.tracer.span(Stage::Report);
-                    let alarms = tracker.evaluate(&board, &config.alarm);
-                    let alarmed = !alarms.is_empty();
-                    {
-                        let mut stats = stats.lock();
-                        stats.reports += 1;
-                        stats.alarms += alarms.len() as u64;
-                    }
-                    if alarmed {
-                        obs.recorder.record(
-                            "alarm",
-                            format_args!(
-                                "{} alarm event(s) at t={} (seq {seq})",
-                                alarms.len(),
-                                board.at()
-                            ),
-                        );
-                    }
-                    let report = StepReport {
-                        scores: board,
-                        alarms,
-                    };
-                    if reports_tx.send(report).is_err() {
-                        // Receiver gone (shutdown under way); keep
-                        // merging so checkpoints still complete.
-                    }
-                    if traced {
-                        obs.exemplar.record(
-                            seq,
-                            SpanSlice::new(
-                                Stage::Report,
-                                report_start,
-                                obs.exemplar.now_ns().saturating_sub(report_start),
-                                "merge",
-                            ),
-                        );
-                        obs.exemplar.finalize(seq, alarmed);
-                    }
-                }
-            }
-        }
-
-        // Complete an in-flight checkpoint once every shard reported.
-        let done = checkpoint.as_ref().is_some_and(|op| op.received == shards);
-        if done {
-            if let Some(op) = checkpoint.take() {
-                debug_assert!(
-                    pending.is_empty() || next_emit >= op.cut_seq,
-                    "states arrived before all pre-cut boards"
-                );
-                let (id, cut_seq) = (op.id, op.cut_seq);
-                if finish_checkpoint(op, shards, &config, &tracker).is_ok() {
-                    stats.lock().checkpoints += 1;
-                    obs.recorder.record(
-                        "checkpoint",
-                        format_args!("fabric checkpoint {id} completed at cut {cut_seq}"),
-                    );
-                } else {
-                    obs.recorder.record(
-                        "checkpoint-error",
-                        format_args!("fabric checkpoint {id} failed at cut {cut_seq}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Writes the manifest for a checkpoint whose shard states are all on
-/// disk, and acks the front.
-fn finish_checkpoint(
-    op: CheckpointOp,
-    shards: usize,
-    config: &EngineConfig,
-    tracker: &AlarmTracker,
-) -> Result<(), ()> {
-    if let Some(error) = op.error {
-        let _ = op.ack.send(Err(error));
-        return Err(());
-    }
-    let mut shard_files = Vec::with_capacity(shards);
-    for file in op.files {
-        match file {
-            Some(name) => shard_files.push(name),
-            None => {
-                let _ = op.ack.send(Err(FabricError::Protocol(
-                    "checkpoint completed with a missing shard file".to_string(),
-                )));
-                return Err(());
-            }
-        }
-    }
-    let manifest = CheckpointManifest {
-        version: 1,
-        shards,
-        cut_seq: op.cut_seq,
-        config: *config,
-        tracker: tracker.clone(),
-        shard_files,
-        sources: BTreeMap::new(),
-        fabric_epoch: op.fabric_epoch,
-        remote: op.remote,
-        candidate_pairs: op.candidates,
-        // Lifecycle counters live on the remote workers; candidate
-        // lists still persist through the shard states above.
-        sketch_promotions: 0,
-        sketch_demotions: 0,
-    };
-    match op.checkpointer.write_manifest(&manifest) {
-        Ok(()) => {
-            let _ = op.ack.send(Ok(()));
-            Ok(())
-        }
-        Err(e) => {
-            let _ = op.ack.send(Err(FabricError::Checkpoint(e)));
-            Err(())
-        }
+        merger.advance();
     }
 }

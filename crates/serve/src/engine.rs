@@ -47,13 +47,15 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use gridwatch_detect::{
-    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
+    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, LifecycleKind, ScoreBoard,
+    Snapshot, StepReport,
 };
-use gridwatch_obs::{PipelineObs, SpanSlice, Stage};
+use gridwatch_obs::{FlightRecorder, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{classes, OrderedMutex};
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
 use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
+use crate::merge::{Cut, StepMerger, Tally};
 use crate::router::ShardRouter;
 use crate::stats::{ServeStats, StatsAccumulator};
 
@@ -98,35 +100,17 @@ enum ShardMsg {
 /// control messages share one channel so their relative order is the
 /// order they were pushed).
 enum ShardReply {
-    /// One shard's partial board for one sequence number.
+    /// One shard's scored step for one sequence number.
     Scores {
         shard: usize,
         seq: u64,
-        board: ScoreBoard,
-        elapsed_ns: u64,
-        /// Pair-model rebuilds the shard's drift layer fired while
-        /// scoring this snapshot (0 when the drift layer is off).
-        rebuilds: u64,
-        /// Sketch-layer promotions that materialized a model while
-        /// scoring this snapshot (0 when the sketch layer is off).
-        promotions: u64,
-        /// Sketch-layer demotions that retired a model.
-        demotions: u64,
-        /// The shard's current sketch gauges (tracked pairs,
-        /// materialized models, sketch bytes) after this step.
-        gauges: ShardGauges,
+        step: ScoredStep,
     },
     /// The ingestion front evicted this sequence number from this
     /// shard's queue; the shard will never score it.
     Dropped { shard: usize, seq: u64 },
-    /// A checkpoint was requested, cutting at `cut_seq`.
-    CheckpointBegin {
-        id: u64,
-        cut_seq: u64,
-        dir: PathBuf,
-        sources: BTreeMap<String, u64>,
-        ack: Sender<Result<CheckpointManifest, CheckpointError>>,
-    },
+    /// A checkpoint was requested.
+    CheckpointBegin(Cut<CheckpointError>),
     /// One shard finished writing its checkpoint file.
     CheckpointFile {
         shard: usize,
@@ -139,38 +123,31 @@ enum ShardReply {
     },
 }
 
-/// A shard's point-in-time sketch gauges, piggybacked on every scores
-/// reply so the stats snapshot stays current without extra round-trips.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardGauges {
-    /// Pairs under sketch tracking (candidates + materialized); equals
-    /// the model count when the sketch layer is off.
+/// What scoring one snapshot on one shard produced. The in-process
+/// worker replies with all of it; a fabric worker ships the board and
+/// the wall time upstream and has nowhere to send the rest.
+pub(crate) struct ScoredStep {
+    /// The shard's partial board (one score per owned pair).
+    pub(crate) board: ScoreBoard,
+    /// Wall-clock nanoseconds `step_scores` took.
+    pub(crate) elapsed_ns: u64,
+    /// Pair-model rebuilds the shard's drift layer fired while
+    /// scoring this snapshot (0 when the drift layer is off).
+    pub(crate) rebuilds: u64,
+    /// Sketch-layer promotions that materialized a model while
+    /// scoring this snapshot (0 when the sketch layer is off).
+    pub(crate) promotions: u64,
+    /// Sketch-layer demotions that retired a model.
+    pub(crate) demotions: u64,
+    /// Pairs under sketch tracking after this step (candidates +
+    /// materialized); equals the model count when the sketch layer is
+    /// off. This and the two gauges below ride every reply so the stats
+    /// snapshot stays current without extra round-trips.
     pub(crate) tracked_pairs: usize,
     /// Pair models currently materialized.
     pub(crate) materialized: usize,
     /// Approximate heap bytes held by the shard's measurement sketches.
     pub(crate) sketch_bytes: usize,
-}
-
-/// Aggregator bookkeeping for one in-flight sequence number.
-#[derive(Default)]
-struct PendingStep {
-    board: Option<ScoreBoard>,
-    replies: usize,
-}
-
-/// Aggregator bookkeeping for one in-flight checkpoint.
-struct CheckpointOp {
-    id: u64,
-    cut_seq: u64,
-    dir: PathBuf,
-    sources: BTreeMap<String, u64>,
-    ack: Sender<Result<CheckpointManifest, CheckpointError>>,
-    files: Vec<Option<String>>,
-    received: usize,
-    error: Option<CheckpointError>,
-    /// Sketch candidates persisted across all shard files so far.
-    candidates: usize,
 }
 
 /// A running sharded detection engine. Built with
@@ -217,8 +194,8 @@ impl std::fmt::Debug for ShardReply {
                 write!(f, "Scores(shard {shard}, seq {seq})")
             }
             ShardReply::Dropped { shard, seq } => write!(f, "Dropped(shard {shard}, seq {seq})"),
-            ShardReply::CheckpointBegin { id, cut_seq, .. } => {
-                write!(f, "CheckpointBegin(id {id}, cut {cut_seq})")
+            ShardReply::CheckpointBegin(cut) => {
+                write!(f, "CheckpointBegin(id {}, cut {})", cut.id, cut.cut_seq)
             }
             ShardReply::CheckpointFile { shard, id, .. } => {
                 write!(f, "CheckpointFile(shard {shard}, id {id})")
@@ -276,11 +253,6 @@ impl ShardedEngine {
         let (reply_tx, reply_rx) = channel::unbounded::<ShardReply>();
         let (reports_tx, reports_rx) = channel::unbounded::<StepReport>();
 
-        // Shards are the parallelism; each sub-engine scores serially.
-        let shard_config = EngineConfig {
-            parallel: false,
-            ..engine_config
-        };
         let mut shard_senders = Vec::with_capacity(config.shards);
         let mut shard_stealers = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -290,16 +262,13 @@ impl ShardedEngine {
             shard_stealers.push(rx.clone());
             shard_senders.push(tx);
             let reply = reply_tx.clone();
-            let mut engine = DetectionEngine::from_snapshot(EngineSnapshot {
-                config: shard_config,
+            let state = EngineSnapshot {
+                config: engine_config,
                 models: part,
                 tracker: AlarmTracker::new(),
                 candidates,
-            });
-            // Shard engines share the flight recorder so drift-layer
-            // rebuild events land in the same ring as alarms and
-            // checkpoints (and flow to the history store from there).
-            engine.attach_recorder(obs.recorder.clone());
+            };
+            let engine = shard_engine(state, obs.recorder.clone());
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("gw-shard-{k}"))
@@ -310,21 +279,35 @@ impl ShardedEngine {
 
         let agg_stats = Arc::clone(&stats);
         let agg_obs = obs.clone();
-        let tracker = snapshot.tracker;
-        let shards = config.shards;
+        let tally_stats = Arc::clone(&stats);
+        let merger = StepMerger::new(
+            config.shards,
+            engine_config,
+            snapshot.tracker,
+            0,
+            reports_tx,
+            obs.clone(),
+            "aggregator",
+            move |tally| {
+                let mut acc = tally_stats.lock();
+                match tally {
+                    Tally::Report { alarms } => {
+                        acc.reports += 1;
+                        acc.alarms += alarms as u64;
+                    }
+                    Tally::EmptyStep => acc.empty_steps += 1,
+                    Tally::Checkpoint => acc.checkpoints += 1,
+                    // Each worker answers each sequence number once and
+                    // shards own disjoint pairs, so none of these can
+                    // arise in-process; `ServeStats` has no field for
+                    // them.
+                    Tally::Duplicate | Tally::Replayed | Tally::Bad => {}
+                }
+            },
+        );
         let aggregator = std::thread::Builder::new()
             .name("gw-aggregate".to_string())
-            .spawn(move || {
-                aggregator_loop(
-                    shards,
-                    engine_config,
-                    tracker,
-                    reply_rx,
-                    reports_tx,
-                    agg_stats,
-                    agg_obs,
-                )
-            })
+            .spawn(move || aggregator_loop(merger, reply_rx, agg_stats, agg_obs))
             .expect("spawn aggregator");
 
         ShardedEngine {
@@ -582,13 +565,15 @@ impl ShardedEngine {
         // the aggregator sees all pre-cut replies before the last
         // marker's reply.
         self.reply_sender
-            .send(ShardReply::CheckpointBegin {
+            .send(ShardReply::CheckpointBegin(Cut {
                 id,
                 cut_seq: self.next_seq,
                 dir: dir.clone(),
                 sources,
+                fabric_epoch: 0,
+                remote: Vec::new(),
                 ack: ack_tx,
-            })
+            }))
             .expect("aggregator disconnected");
         for tx in &self.shard_senders {
             tx.send(ShardMsg::Checkpoint {
@@ -777,6 +762,62 @@ fn push_evicting(
     }
 }
 
+/// Builds the engine one shard scores with, in-process or in a fabric
+/// worker, from the shard's slice of the model state.
+pub(crate) fn shard_engine(state: EngineSnapshot, recorder: FlightRecorder) -> DetectionEngine {
+    let mut engine = DetectionEngine::from_snapshot(EngineSnapshot {
+        // Shards (or worker processes) are the parallelism; each
+        // sub-engine scores serially.
+        config: EngineConfig {
+            parallel: false,
+            ..state.config
+        },
+        // Alarms are evaluated once, on the merged board.
+        tracker: AlarmTracker::new(),
+        ..state
+    });
+    // Shard engines share the flight recorder so drift-layer rebuild
+    // and sketch-layer lifecycle events land in the same ring as alarms
+    // and checkpoints (and flow to the history store from there).
+    engine.attach_recorder(recorder);
+    engine
+}
+
+/// The one shard step: scores `snap` against the shard's slice of the
+/// pair models and drains what the step left behind.
+pub(crate) fn score_step(engine: &mut DetectionEngine, snap: &Snapshot) -> ScoredStep {
+    // Timed unconditionally: the wall time feeds the per-shard latency
+    // histogram (or rides the board frame upstream) even when the
+    // tracer is off.
+    let start = Instant::now();
+    let board = engine.step_scores(snap);
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    // Drain drift-layer rebuilds and sketch-layer lifecycle events
+    // fired by this step, every step, so the engine's pending lists
+    // stay bounded; the events themselves already reached the flight
+    // recorder inside step_scores, so only the counts travel on.
+    let rebuilds = engine.take_rebuild_events().len() as u64;
+    let lifecycle = engine.take_lifecycle_events();
+    let promotions = lifecycle
+        .iter()
+        .filter(|e| e.kind == LifecycleKind::Promote && e.succeeded)
+        .count() as u64;
+    let demotions = lifecycle
+        .iter()
+        .filter(|e| e.kind == LifecycleKind::Demote)
+        .count() as u64;
+    ScoredStep {
+        board,
+        elapsed_ns,
+        rebuilds,
+        promotions,
+        demotions,
+        tracked_pairs: engine.tracked_pair_count(),
+        materialized: engine.model_count(),
+        sketch_bytes: engine.sketch_bytes(),
+    }
+}
+
 /// One shard worker: scores snapshots against its slice of the pair
 /// models, persists its state on checkpoint markers.
 fn worker_loop(
@@ -786,289 +827,77 @@ fn worker_loop(
     reply: Sender<ShardReply>,
 ) {
     while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Snapshot { seq, snap } => {
-                let start = Instant::now();
-                let board = engine.step_scores(&snap);
-                let elapsed_ns = start.elapsed().as_nanos() as u64;
-                // Drain drift-layer rebuilds and sketch-layer lifecycle
-                // events fired by this step; the events themselves
-                // already reached the flight recorder inside
-                // step_scores, so only the counts travel here.
-                let rebuilds = engine.take_rebuild_events().len() as u64;
-                let lifecycle = engine.take_lifecycle_events();
-                let promotions = lifecycle
-                    .iter()
-                    .filter(|e| e.kind == gridwatch_detect::LifecycleKind::Promote && e.succeeded)
-                    .count() as u64;
-                let demotions = lifecycle
-                    .iter()
-                    .filter(|e| e.kind == gridwatch_detect::LifecycleKind::Demote)
-                    .count() as u64;
-                let gauges = ShardGauges {
-                    tracked_pairs: engine.tracked_pair_count(),
-                    materialized: engine.model_count(),
-                    sketch_bytes: engine.sketch_bytes(),
-                };
-                if reply
-                    .send(ShardReply::Scores {
-                        shard,
-                        seq,
-                        board,
-                        elapsed_ns,
-                        rebuilds,
-                        promotions,
-                        demotions,
-                        gauges,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
+        let answer = match msg {
+            ShardMsg::Snapshot { seq, snap } => ShardReply::Scores {
+                shard,
+                seq,
+                step: score_step(&mut engine, &snap),
+            },
             ShardMsg::Checkpoint { id, dir } => {
                 let snapshot = engine.snapshot();
-                let candidates = snapshot.candidates.len();
-                let result = Checkpointer::new(dir).write_shard(shard, &snapshot);
-                if reply
-                    .send(ShardReply::CheckpointFile {
-                        shard,
-                        id,
-                        result,
-                        candidates,
-                    })
-                    .is_err()
-                {
-                    break;
+                ShardReply::CheckpointFile {
+                    shard,
+                    id,
+                    result: Checkpointer::new(dir).write_shard(shard, &snapshot),
+                    candidates: snapshot.candidates.len(),
                 }
             }
+        };
+        if reply.send(answer).is_err() {
+            break;
         }
     }
 }
 
-/// The aggregator: merges partial boards in sequence order, runs the
-/// single alarm tracker over each merged board, emits reports, and
-/// completes checkpoints by writing the manifest.
-fn aggregator_loop(
-    shards: usize,
-    engine_config: EngineConfig,
-    mut tracker: AlarmTracker,
+/// The aggregator: the in-process adapter over the [`StepMerger`]. It
+/// owns the per-shard roll-ups (latency histograms, lifecycle counters,
+/// sketch gauges) and hands everything else — merging, in-order
+/// finalization, alarms, reports, manifests — to the merger.
+fn aggregator_loop<T: FnMut(Tally)>(
+    mut merger: StepMerger<CheckpointError, T>,
     reply_rx: Receiver<ShardReply>,
-    reports_tx: Sender<StepReport>,
     stats: Arc<OrderedMutex<StatsAccumulator>>,
     obs: PipelineObs,
 ) {
-    let mut pending: BTreeMap<u64, PendingStep> = BTreeMap::new();
-    let mut checkpoint: Option<CheckpointOp> = None;
     while let Ok(msg) = reply_rx.recv() {
         match msg {
-            ShardReply::Scores {
-                shard,
-                seq,
-                board,
-                elapsed_ns,
-                rebuilds,
-                promotions,
-                demotions,
-                gauges,
-            } => {
-                // The worker measured its `step_scores` wall time; the
-                // aggregator owns the roll-ups, so both the per-shard
-                // histogram and the Score stage are fed here.
-                obs.tracer.record_ns(Stage::Score, elapsed_ns);
-                if obs.exemplar.is_enabled() {
-                    // The worker has no exemplar handle; attribute its
-                    // measured wall time here, anchored to the receive
-                    // instant (start ≈ now − elapsed on this timeline).
-                    let end = obs.exemplar.now_ns();
-                    obs.exemplar.record(
-                        seq,
-                        SpanSlice::sharded(
-                            Stage::Score,
-                            end.saturating_sub(elapsed_ns),
-                            elapsed_ns,
-                            shard as u64,
-                            &format!("shard-{shard}"),
-                        ),
-                    );
-                }
+            ShardReply::Scores { shard, seq, step } => {
                 {
                     let mut acc = stats.lock();
-                    acc.per_shard[shard].observe_latency(elapsed_ns);
-                    acc.rebuilds += rebuilds;
-                    acc.promotions += promotions;
-                    acc.demotions += demotions;
-                    acc.per_shard[shard].tracked_pairs = gauges.tracked_pairs;
-                    acc.per_shard[shard].materialized = gauges.materialized;
-                    acc.per_shard[shard].sketch_bytes = gauges.sketch_bytes;
+                    acc.per_shard[shard].observe_latency(step.elapsed_ns);
+                    acc.rebuilds += step.rebuilds;
+                    acc.promotions += step.promotions;
+                    acc.demotions += step.demotions;
+                    acc.per_shard[shard].tracked_pairs = step.tracked_pairs;
+                    acc.per_shard[shard].materialized = step.materialized;
+                    acc.per_shard[shard].sketch_bytes = step.sketch_bytes;
                 }
-                let merge = obs.tracer.span(Stage::Merge);
-                let merge_start = if obs.exemplar.is_enabled() {
-                    obs.exemplar.now_ns()
-                } else {
-                    0
-                };
-                let entry = pending.entry(seq).or_default();
-                entry.replies += 1;
-                match &mut entry.board {
-                    Some(merged) => merged.merge(board),
-                    slot @ None => *slot = Some(board),
-                }
-                drop(merge);
-                if obs.exemplar.is_enabled() {
-                    let dur = obs.exemplar.now_ns().saturating_sub(merge_start);
-                    obs.exemplar.record(
-                        seq,
-                        SpanSlice::new(Stage::Merge, merge_start, dur, "aggregator"),
-                    );
-                }
-            }
-            ShardReply::Dropped { seq, .. } => {
-                pending.entry(seq).or_default().replies += 1;
-            }
-            ShardReply::CheckpointBegin {
-                id,
-                cut_seq,
-                dir,
-                sources,
-                ack,
-            } => {
-                checkpoint = Some(CheckpointOp {
-                    id,
-                    cut_seq,
-                    dir,
-                    sources,
-                    ack,
-                    files: vec![None; shards],
-                    received: 0,
-                    error: None,
-                    candidates: 0,
+                merger.sketch_promotions += step.promotions;
+                merger.sketch_demotions += step.demotions;
+                // The worker has no exemplar handle; attribute its
+                // measured wall time here, anchored to the receive
+                // instant (start ≈ now − elapsed on this timeline).
+                let slice = obs.exemplar.is_enabled().then(|| {
+                    SpanSlice::sharded(
+                        Stage::Score,
+                        obs.exemplar.now_ns().saturating_sub(step.elapsed_ns),
+                        step.elapsed_ns,
+                        shard as u64,
+                        &format!("shard-{shard}"),
+                    )
                 });
+                merger.offer(shard, seq, step.board, step.elapsed_ns, slice.as_slice());
             }
+            ShardReply::Dropped { shard, seq } => merger.tombstone(shard, seq),
+            ShardReply::CheckpointBegin(cut) => merger.begin_cut(cut),
             ShardReply::CheckpointFile {
                 shard,
                 id,
                 result,
                 candidates,
-            } => {
-                let op = checkpoint.as_mut().expect("checkpoint file without begin");
-                debug_assert_eq!(op.id, id, "interleaved checkpoints are impossible");
-                op.received += 1;
-                op.candidates += candidates;
-                match result {
-                    Ok(name) => op.files[shard] = Some(name),
-                    Err(e) => {
-                        if op.error.is_none() {
-                            op.error = Some(e);
-                        }
-                    }
-                }
-            }
+            } => merger.shard_file(shard, id, result, candidates),
         }
-
-        // Finalize fully-replied sequence numbers strictly in order.
-        while pending
-            .first_key_value()
-            .is_some_and(|(_, entry)| entry.replies >= shards)
-        {
-            let (seq, entry) = pending.pop_first().expect("checked non-empty");
-            let report = obs.tracer.span(Stage::Report);
-            let traced = obs.exemplar.is_enabled();
-            let report_start = if traced { obs.exemplar.now_ns() } else { 0 };
-            let mut alarmed = false;
-            let mut acc = stats.lock();
-            match entry.board {
-                Some(board) => {
-                    let alarms = tracker.evaluate(&board, &engine_config.alarm);
-                    acc.reports += 1;
-                    acc.alarms += alarms.len() as u64;
-                    drop(acc);
-                    alarmed = !alarms.is_empty();
-                    if alarmed {
-                        obs.recorder.record(
-                            "alarm",
-                            format_args!(
-                                "{} alarm event(s) at t={} (seq {seq})",
-                                alarms.len(),
-                                board.at()
-                            ),
-                        );
-                    }
-                    let _ = reports_tx.send(StepReport {
-                        scores: board,
-                        alarms,
-                    });
-                }
-                // Every shard evicted this instant: nothing to report.
-                None => {
-                    acc.empty_steps += 1;
-                    drop(acc);
-                    obs.recorder
-                        .record("empty-step", format_args!("seq {seq} fully evicted"));
-                }
-            }
-            drop(report);
-            if traced {
-                let dur = obs.exemplar.now_ns().saturating_sub(report_start);
-                obs.exemplar.record(
-                    seq,
-                    SpanSlice::new(Stage::Report, report_start, dur, "aggregator"),
-                );
-                obs.exemplar.finalize(seq, alarmed);
-            }
-        }
-
-        // Complete the checkpoint once every shard has written its file.
-        if checkpoint.as_ref().is_some_and(|op| op.received == shards) {
-            let op = checkpoint.take().expect("checked some");
-            debug_assert!(
-                pending.range(..op.cut_seq).next().is_none(),
-                "all pre-cut steps finalize before the last marker reply"
-            );
-            let outcome = match op.error {
-                Some(e) => Err(e),
-                None => {
-                    let (sketch_promotions, sketch_demotions) = {
-                        let acc = stats.lock();
-                        (acc.promotions, acc.demotions)
-                    };
-                    let manifest = CheckpointManifest {
-                        version: 1,
-                        shards,
-                        cut_seq: op.cut_seq,
-                        config: engine_config,
-                        tracker: tracker.clone(),
-                        shard_files: op
-                            .files
-                            .into_iter()
-                            .map(|f| f.expect("no error recorded, so every file landed"))
-                            .collect(),
-                        sources: op.sources,
-                        fabric_epoch: 0,
-                        remote: Vec::new(),
-                        candidate_pairs: op.candidates,
-                        sketch_promotions,
-                        sketch_demotions,
-                    };
-                    Checkpointer::new(&op.dir)
-                        .write_manifest(&manifest)
-                        .map(|()| manifest)
-                }
-            };
-            match &outcome {
-                Ok(manifest) => {
-                    stats.lock().checkpoints += 1;
-                    obs.recorder.record(
-                        "checkpoint",
-                        format_args!("id {} cut_seq {}", op.id, manifest.cut_seq),
-                    );
-                }
-                Err(e) => obs
-                    .recorder
-                    .record("checkpoint-error", format_args!("id {}: {e}", op.id)),
-            }
-            let _ = op.ack.send(outcome);
-        }
+        merger.advance();
     }
 }
 

@@ -23,6 +23,7 @@ pub mod coordinator;
 pub mod engine;
 pub mod history;
 pub mod ingest;
+mod merge;
 pub mod net;
 pub mod remote;
 pub mod router;

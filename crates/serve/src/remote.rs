@@ -35,15 +35,15 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
-use gridwatch_detect::{AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, ScoreBoard};
+use gridwatch_detect::{EngineSnapshot, ScoreBoard};
 use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
 
 use crate::checkpoint::CheckpointError;
+use crate::engine::{score_step, shard_engine, ScoredStep};
 use crate::wire::{self, WireFrame};
 
 /// Upper bound on one fabric frame. Larger than the wire protocol's
@@ -205,6 +205,12 @@ impl std::error::Error for FabricError {
             FabricError::Checkpoint(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<CheckpointError> for FabricError {
+    fn from(e: CheckpointError) -> Self {
+        FabricError::Checkpoint(e)
     }
 }
 
@@ -583,17 +589,10 @@ fn session_loop(
             if trace {
                 tracer.enable();
             }
-            // The shard scores serially; the fabric's parallelism is
-            // the worker processes themselves (mirrors ShardedEngine).
-            let engine = DetectionEngine::from_snapshot(EngineSnapshot {
-                config: EngineConfig {
-                    parallel: false,
-                    ..state.config
-                },
-                models: state.models,
-                tracker: AlarmTracker::new(),
-                candidates: state.candidates,
-            });
+            // The same engine the in-process shards score with: serial,
+            // and sharing this worker's flight recorder so rebuild and
+            // lifecycle events reach it.
+            let engine = shard_engine(state, obs.recorder.clone());
             let ack = encode_response(&FabricResponse::HelloAck {
                 shard,
                 epoch,
@@ -646,13 +645,16 @@ fn session_loop(
         match decoded {
             Downstream::Snapshot(frame) => {
                 summary.lock().snapshots += 1;
-                // Timed unconditionally: score_ns rides the board frame
-                // upstream so the coordinator's Score distribution
-                // reflects remote work even when this worker's own
-                // tracer is off.
-                let scored = Instant::now();
-                let board = engine.step_scores(&frame.snapshot);
-                let score_ns = scored.elapsed().as_nanos() as u64;
+                // score_ns rides the board frame upstream so the
+                // coordinator's Score distribution reflects remote work
+                // even when this worker's own tracer is off. The step's
+                // event counts and gauges stop here: the board frame
+                // has no field for them.
+                let ScoredStep {
+                    board,
+                    elapsed_ns: score_ns,
+                    ..
+                } = score_step(&mut engine, &frame.snapshot);
                 tracer.record_ns(Stage::Score, score_ns);
                 let spans = if ship_spans {
                     let score_end = obs.exemplar.now_ns();
@@ -708,6 +710,7 @@ fn session_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridwatch_detect::{AlarmTracker, EngineConfig};
     use gridwatch_timeseries::Timestamp;
 
     #[test]

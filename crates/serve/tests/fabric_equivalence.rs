@@ -12,12 +12,13 @@ use std::thread::JoinHandle;
 use gridwatch_detect::{
     AlarmPolicy, DetectionEngine, EngineConfig, EngineSnapshot, Snapshot, StepReport,
 };
-use gridwatch_obs::{parse_exposition, PipelineObs, Stage};
+use gridwatch_obs::{parse_exposition, FlightRecorder, PipelineObs, Stage};
 use gridwatch_serve::{
-    Coordinator, FabricConfig, FabricError, ShardWorker, WorkerController, WorkerSummary,
+    Coordinator, FabricConfig, FabricError, ServeConfig, ShardWorker, ShardedEngine,
+    WorkerController, WorkerSummary,
 };
 use gridwatch_timeseries::{
-    MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries, Timestamp,
+    AlignmentPolicy, MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries, Timestamp,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -114,6 +115,8 @@ fn unsharded_reports(case: &Case) -> Vec<StepReport> {
 struct Worker {
     addr: String,
     controller: WorkerController,
+    /// The worker's own flight recorder.
+    recorder: FlightRecorder,
     handle: JoinHandle<Result<WorkerSummary, FabricError>>,
 }
 
@@ -121,10 +124,12 @@ fn spawn_worker() -> Worker {
     let worker = ShardWorker::bind("127.0.0.1:0").expect("bind worker");
     let addr = worker.local_addr().to_string();
     let controller = worker.controller();
+    let recorder = worker.obs().recorder.clone();
     let handle = std::thread::spawn(move || worker.run());
     Worker {
         addr,
         controller,
+        recorder,
         handle,
     }
 }
@@ -350,4 +355,94 @@ fn alarms_survive_migration_bit_for_bit() {
             fabric_reports_with_migration(&case, shards, shards - 1, &format!("pin-{shards}"));
         assert_eq!(got, want, "{shards} shards");
     }
+}
+
+/// A fabric worker scores with the same shard step as an in-process
+/// shard: its engine shares the worker's flight recorder, so the drift
+/// layer's rebuild events land there, and the step's event lists are
+/// drained every snapshot. Drives a drift-enabled engine over the
+/// `Drift` chaos regime through a coordinator and two in-process
+/// workers; the stream must stay bit-identical to `ShardedEngine`'s.
+#[test]
+fn fabric_workers_record_drift_rebuilds_in_their_flight_recorders() {
+    use gridwatch_sim::chaos::chaos_scenario;
+    use gridwatch_sim::scenario::TEST_DAY;
+    use gridwatch_sim::ChaosRegime;
+
+    let scenario = chaos_scenario(ChaosRegime::Drift, 2, 20080529);
+    let trace = &scenario.trace;
+    let train_end = Timestamp::from_days(TEST_DAY);
+    // Every pair among machine 0's measurements: the regime rewires its
+    // out-traffic rate, so the pairs containing it must rebuild.
+    let ids: Vec<MeasurementId> = trace
+        .measurement_ids()
+        .filter(|id| id.machine() == MachineId::new(0))
+        .collect();
+    let mut pairs = Vec::new();
+    for (i, &a) in ids.iter().enumerate() {
+        for &b in &ids[i + 1..] {
+            let pair = MeasurementPair::new(a, b).unwrap();
+            let history = PairSeries::align(
+                &trace.series(a).unwrap().slice(Timestamp::EPOCH, train_end),
+                &trace.series(b).unwrap().slice(Timestamp::EPOCH, train_end),
+                AlignmentPolicy::Intersect,
+            )
+            .unwrap();
+            pairs.push((pair, history));
+        }
+    }
+    let config = EngineConfig {
+        model: gridwatch_core::ModelConfig::default().frozen(),
+        drift: Some(gridwatch_detect::DriftConfig::default()),
+        ..EngineConfig::default()
+    };
+    let engine = DetectionEngine::train(pairs, config).unwrap().snapshot();
+    let snapshots: Vec<Snapshot> = trace
+        .interval()
+        .ticks(train_end, Timestamp::from_days(TEST_DAY + 1))
+        .map(|t| {
+            let mut snap = Snapshot::new(t);
+            for id in trace.measurement_ids() {
+                if let Some(v) = trace.series(id).unwrap().value_at(t) {
+                    snap.insert(id, v);
+                }
+            }
+            snap
+        })
+        .collect();
+
+    let mut local = ShardedEngine::start(
+        engine.clone(),
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+    );
+    for snap in &snapshots {
+        local.submit(snap.clone());
+    }
+    let (want, local_stats) = local.shutdown();
+    assert!(local_stats.rebuilds > 0, "the regime must fire rebuilds");
+
+    let workers = spawn_workers(2);
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
+    let mut coordinator =
+        Coordinator::connect(engine, &addrs, FabricConfig::default()).expect("connect fabric");
+    for snap in &snapshots {
+        coordinator.submit(snap.clone()).expect("submit");
+    }
+    let (got, _) = coordinator.shutdown(true);
+    let recorders: Vec<FlightRecorder> = workers.iter().map(|w| w.recorder.clone()).collect();
+    join_workers(workers);
+
+    assert_eq!(got, want, "fabric diverged from the in-process engine");
+    let rebuilds: u64 = recorders
+        .iter()
+        .flat_map(|r| r.snapshot())
+        .filter(|e| e.kind == "rebuild")
+        .count() as u64;
+    assert_eq!(
+        rebuilds, local_stats.rebuilds,
+        "every rebuild reaches the flight recorder of the worker that fired it"
+    );
 }
