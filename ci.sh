@@ -44,6 +44,14 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> scoring contract: row-memo coherence, removed-knob compatibility, CLI pins"
+# Tier-1 covers the facade package only; these are the suites that pin
+# the exact-row scorer (never-stale memo, old snapshots with removed
+# keys, the workflow's alarm count and fitness floor, unknown flags).
+cargo test -q -p gridwatch-core --test row_cache_coherence
+cargo test -q -p gridwatch-audit --test checkpoint_validate
+cargo test -q -p gridwatch-cli --test cli
+
 echo "==> perf ledger: unit tests + 1/50-size smoke of all four workloads"
 # Catches a refactor that breaks ledger/src/sut.rs or the report stream
 # before the benchmark driver does.
@@ -122,9 +130,6 @@ echo "==> sketch overhead gate (disabled path <= 15ns/step) + posture trend line
 # Prints the third CI trend line: tracked pairs / materialized models /
 # sketch bytes on the benchmark engine.
 cargo bench -q -p gridwatch-bench --bench sketch_throughput
-
-echo "==> compact row memory gate (quantized rows fit >= 4x models per GB)"
-cargo bench -q -p gridwatch-bench --bench model_rss
 
 echo "==> causal trace exemplars: fabric 7-stage coverage + report bit-identity"
 cargo test -q -p gridwatch-serve --test trace_exemplars -- --test-threads=1

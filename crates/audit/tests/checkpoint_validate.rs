@@ -13,32 +13,46 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use gridwatch_audit::checkpoint::validate_checkpoint;
-use gridwatch_detect::{AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot};
+use gridwatch_detect::{
+    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, Snapshot, StepReport,
+};
 use gridwatch_serve::{CheckpointManifest, Checkpointer};
-use gridwatch_timeseries::{MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries};
+use gridwatch_timeseries::{
+    MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries, Timestamp,
+};
+
+fn measurement_ids() -> [MeasurementId; 3] {
+    let mk = |m: u32, t: u16| MeasurementId::new(MachineId::new(m), MetricKind::Custom(t));
+    [mk(0, 0), mk(0, 1), mk(1, 0)]
+}
+
+/// The persisted state of an engine trained on all three pairs of
+/// [`measurement_ids`].
+fn trained() -> EngineSnapshot {
+    let ids = measurement_ids();
+    let mut pairs = Vec::new();
+    for i in 0..3 {
+        for j in (i + 1)..3 {
+            let pair = MeasurementPair::new(ids[i], ids[j]).unwrap();
+            let history = PairSeries::from_samples((0..300u64).map(|k| {
+                let x = (k % 40) as f64;
+                (k * 360, (i as f64 + 1.0) * x, (j as f64 + 2.0) * x)
+            }))
+            .unwrap();
+            pairs.push((pair, history));
+        }
+    }
+    DetectionEngine::train(pairs, EngineConfig::default())
+        .unwrap()
+        .snapshot()
+}
 
 /// A pristine two-shard checkpoint, generated once and kept in memory:
 /// `(manifest_json, [(shard_file_name, shard_json)])`.
 fn pristine() -> &'static (String, Vec<(String, String)>) {
     static PRISTINE: OnceLock<(String, Vec<(String, String)>)> = OnceLock::new();
     PRISTINE.get_or_init(|| {
-        let mk = |m: u32, t: u16| MeasurementId::new(MachineId::new(m), MetricKind::Custom(t));
-        let ids = [mk(0, 0), mk(0, 1), mk(1, 0)];
-        let mut pairs = Vec::new();
-        for i in 0..3 {
-            for j in (i + 1)..3 {
-                let pair = MeasurementPair::new(ids[i], ids[j]).unwrap();
-                let history = PairSeries::from_samples((0..300u64).map(|k| {
-                    let x = (k % 40) as f64;
-                    (k * 360, (i as f64 + 1.0) * x, (j as f64 + 2.0) * x)
-                }))
-                .unwrap();
-                pairs.push((pair, history));
-            }
-        }
-        let full = DetectionEngine::train(pairs, EngineConfig::default())
-            .unwrap()
-            .snapshot();
+        let full = trained();
         let left = EngineSnapshot {
             config: full.config,
             models: full.models[..2].to_vec(),
@@ -212,6 +226,83 @@ fn pre_sketch_checkpoint_still_validates_and_resumes() {
     assert!(snapshot.candidates.is_empty());
     assert_eq!(snapshot.models.len(), 3);
     cleanup(&dir);
+}
+
+/// What `train --row-format quantized` wrote before the compact row
+/// formats and `EngineConfig::parallel` were removed: the same
+/// documents plus a `row_format` key in every `ModelConfig` and
+/// `TransitionMatrix` and a `parallel` key in every `EngineConfig`.
+fn with_removed_knobs(json: &str) -> String {
+    // `kernel` is a key of exactly the two structs that carried
+    // `row_format`; `alarm` is a key of `EngineConfig` alone.
+    json.replace("\"kernel\"", "\"row_format\":\"Quantized\",\"kernel\"")
+        .replace("\"alarm\"", "\"parallel\":true,\"alarm\"")
+}
+
+/// Steps an engine over a fixed stream that walks on and off the
+/// trained manifold, so alarms and online updates both happen.
+fn report_stream(snapshot: EngineSnapshot) -> Vec<StepReport> {
+    let ids = measurement_ids();
+    let mut engine = DetectionEngine::from_snapshot(snapshot);
+    (0..60u64)
+        .map(|k| {
+            let x = (k % 40) as f64;
+            let mut snap = Snapshot::new(Timestamp::from_secs((300 + k) * 360));
+            snap.insert(ids[0], x);
+            snap.insert(ids[1], if k % 7 == 3 { 95.0 - x } else { 2.0 * x });
+            snap.insert(ids[2], 3.0 * x);
+            engine.step(&snap)
+        })
+        .collect()
+}
+
+/// Snapshots and checkpoints that still carry the removed `row_format`
+/// and `parallel` keys load (serde ignores them), pass `gridwatch audit
+/// --checkpoint`, and score exactly as the same state without the keys:
+/// the keys selected an in-memory row representation and a threading
+/// mode, never persisted state.
+#[test]
+fn removed_row_format_and_parallel_keys_are_ignored() {
+    let original = trained();
+    let models = original.models.len();
+    let json = serde_json::to_string(&original).unwrap();
+    assert!(!json.contains("row_format") && !json.contains("parallel"));
+    let injected = with_removed_knobs(&json);
+    // One ModelConfig in the engine config, then a ModelConfig and a
+    // TransitionMatrix per model; one EngineConfig.
+    assert_eq!(injected.matches("\"row_format\"").count(), 1 + 2 * models);
+    assert_eq!(injected.matches("\"parallel\"").count(), 1);
+    let loaded: EngineSnapshot = serde_json::from_str(&injected).unwrap();
+    assert_eq!(loaded, original);
+    let expected = report_stream(original);
+    assert!(expected.iter().any(|r| !r.alarms.is_empty()));
+    assert_eq!(report_stream(loaded), expected);
+
+    let (manifest, shards) = pristine();
+    let dir = materialize("removed-knobs", &with_removed_knobs(manifest));
+    let mut shard_keys = 0;
+    for (name, shard) in shards {
+        let injected = with_removed_knobs(shard);
+        shard_keys += injected.matches("\"row_format\"").count();
+        assert_eq!(injected.matches("\"parallel\"").count(), 1);
+        fs::write(dir.join(name), injected).unwrap();
+    }
+    assert_eq!(shard_keys, shards.len() + 2 * models);
+    let manifest_text = fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert_eq!(manifest_text.matches("\"row_format\"").count(), 1);
+    assert_eq!(manifest_text.matches("\"parallel\"").count(), 1);
+    // validate_checkpoint is exactly what `gridwatch audit --checkpoint`
+    // runs.
+    let report = validate_checkpoint(&dir);
+    assert!(report.is_valid(), "{:#?}", report.problems);
+    assert_eq!(report.models_checked, models);
+    let (recovered, _manifest) = Checkpointer::new(&dir).recover().unwrap();
+    cleanup(&dir);
+    let clean = materialize("removed-knobs-clean", manifest);
+    let (reference, _manifest) = Checkpointer::new(&clean).recover().unwrap();
+    cleanup(&clean);
+    assert_eq!(recovered, reference);
+    assert_eq!(report_stream(recovered), report_stream(reference));
 }
 
 /// Remote-table corruptions a fabric coordinator's `--resume` would

@@ -1,5 +1,5 @@
 //! Detection-engine throughput: cost of one snapshot step as the number
-//! of watched pairs grows, serial versus crossbeam-parallel.
+//! of watched pairs grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,27 +22,21 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_step");
     group.sample_size(20);
     for pairs in [10usize, 45, 120] {
-        for parallel in [false, true] {
-            let label = format!(
-                "{pairs}pairs_{}",
-                if parallel { "parallel" } else { "serial" }
-            );
-            group.bench_with_input(
-                BenchmarkId::from_parameter(label),
-                &(pairs, parallel),
-                |b, &(pairs, parallel)| {
-                    b.iter_batched(
-                        || trained_engine(&trace, pairs, parallel),
-                        |mut engine| {
-                            // Two steps so every model has a trajectory
-                            // and the second step exercises scoring.
-                            black_box(engine.step(&snapshot));
-                        },
-                        criterion::BatchSize::LargeInput,
-                    );
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{pairs}pairs")),
+            &pairs,
+            |b, &pairs| {
+                b.iter_batched(
+                    || trained_engine(&trace, pairs),
+                    |mut engine| {
+                        // Two steps so every model has a trajectory
+                        // and the second step exercises scoring.
+                        black_box(engine.step(&snapshot));
+                    },
+                    criterion::BatchSize::LargeInput,
+                );
+            },
+        );
     }
     group.finish();
 }

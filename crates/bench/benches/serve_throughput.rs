@@ -37,7 +37,7 @@ fn test_day_snapshots(trace: &gridwatch_sim::Trace) -> Vec<Snapshot> {
 
 fn bench_serve_throughput(c: &mut Criterion) {
     let trace = trace(4);
-    let engine = trained_engine(&trace, 120, false);
+    let engine = trained_engine(&trace, 120);
     let snapshot = engine.snapshot();
     let stream = test_day_snapshots(&trace);
     assert!(!stream.is_empty(), "test day must have snapshots");

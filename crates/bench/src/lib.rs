@@ -54,7 +54,7 @@ pub fn test_points(trace: &Trace) -> Vec<Point2> {
 }
 
 /// An engine trained on 8 days over up to `max_pairs` screened pairs.
-pub fn trained_engine(trace: &Trace, max_pairs: usize, parallel: bool) -> DetectionEngine {
+pub fn trained_engine(trace: &Trace, max_pairs: usize) -> DetectionEngine {
     let train_end = Timestamp::from_days(8);
     let mut training = std::collections::BTreeMap::new();
     for id in trace.measurement_ids() {
@@ -84,14 +84,7 @@ pub fn trained_engine(trace: &Trace, max_pairs: usize, parallel: bool) -> Detect
             .map(|h| (p, h))
         })
         .collect();
-    DetectionEngine::train(
-        histories,
-        EngineConfig {
-            parallel,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("benchmark engine trains")
+    DetectionEngine::train(histories, EngineConfig::default()).expect("benchmark engine trains")
 }
 
 /// An engine for the chaos benches: frozen model (the drift layer's
@@ -209,7 +202,7 @@ mod tests {
         let model = trained_model(&t, 2);
         assert!(model.matrix().total_observations() > 0);
         assert!(!test_points(&t).is_empty());
-        let engine = trained_engine(&t, 5, false);
+        let engine = trained_engine(&t, 5);
         assert!(engine.model_count() > 0);
         let drifting = trained_drift_engine(&t, 5, Some(gridwatch_detect::DriftConfig::default()));
         assert!(drifting.model_count() > 0);

@@ -37,7 +37,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["concurrency"])?;
+    let flags = Flags::parse(
+        "audit",
+        args,
+        &["concurrency"],
+        &[&["root", "allowlist", "checkpoint", "store"]],
+    )?;
 
     if let Some(dir) = flags.get::<String>("store")? {
         let report = gridwatch_store::validate_store(std::path::Path::new(&dir))

@@ -9,8 +9,11 @@ use std::time::{Duration, Instant};
 use gridwatch_detect::{EngineSnapshot, Snapshot, StepReport};
 use gridwatch_serve::{Checkpointer, Coordinator, FabricConfig, FabricError, FabricStats};
 
-use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump};
-use crate::commands::{apply_alarm_flags, load_engine, load_trace, open_history_sink};
+use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump, REPLAY_FLAGS};
+use crate::commands::{
+    apply_alarm_flags, load_engine, load_trace, open_history_sink, ALARM_FLAGS, EXEMPLAR_FLAGS,
+    STORE_FLAGS,
+};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -76,7 +79,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}\n\n{}", crate::commands::TRACE_HELP);
         return Ok(());
     }
-    let flags = Flags::parse(args, &["resume", "halt-workers"])?;
+    let flags = Flags::parse(
+        "coordinator",
+        args,
+        &["resume", "halt-workers"],
+        &[
+            &["trace", "engine", "workers", "reattach-secs"],
+            ALARM_FLAGS,
+            STORE_FLAGS,
+            EXEMPLAR_FLAGS,
+            REPLAY_FLAGS,
+        ],
+    )?;
     let trace_path: String = flags.require("trace")?;
     let from_day: u64 = flags.get_or("from-day", 15)?;
     let days: u64 = flags.get_or("days", 1)?;

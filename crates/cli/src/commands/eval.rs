@@ -40,7 +40,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["chaos"])?;
+    let flags = Flags::parse(
+        "eval",
+        args,
+        &["chaos"],
+        &[&[
+            "regime",
+            "machines",
+            "seed",
+            "max-pairs",
+            "threshold",
+            "days",
+            "out",
+        ]],
+    )?;
     if !flags.has("chaos") {
         return Err(format!("nothing to evaluate; pass --chaos\n{HELP}"));
     }

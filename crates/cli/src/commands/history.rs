@@ -59,7 +59,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["system"])?;
+    let flags = Flags::parse(
+        "history",
+        args,
+        &["system"],
+        &[
+            &["store", "kind", "event-kind", "format", "limit", "top-k"],
+            &["measurement", "pair", "key"],
+            WINDOW_FLAGS,
+        ],
+    )?;
     let dir: String = flags.require("store")?;
     let kind: RecordKind = flags.get_or("kind", RecordKind::Score)?;
     if flags.get::<String>("event-kind")?.is_some() && kind != RecordKind::Event {
@@ -115,6 +124,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Err(e) => Err(format!("writing output: {e}")),
     }
 }
+
+/// The time-range flags [`window`] reads.
+pub(crate) const WINDOW_FLAGS: &[&str] = &["from-day", "days", "from-secs", "to-secs"];
 
 /// The scan window from the time-range flags (shared with `gridwatch
 /// trace`, which takes the same range).

@@ -15,7 +15,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["verbose"])?;
+    let flags = Flags::parse("inspect", args, &["verbose"], &[&["engine"]])?;
     let engine_path: String = flags.require("engine")?;
     let json = std::fs::read_to_string(&engine_path)
         .map_err(|e| format!("cannot read {engine_path}: {e}"))?;

@@ -54,6 +54,9 @@ trace records, queryable with `gridwatch trace`):
   --trace-head-every N      also retain every N-th snapshot regardless
                             of outcome (1-in-N head sample)";
 
+/// The flags [`exemplar_config`] reads.
+pub const EXEMPLAR_FLAGS: &[&str] = &["trace-exemplars", "trace-budget-ns", "trace-head-every"];
+
 /// The exemplar tail-sampling config from the `--trace-*` flags;
 /// `None` (tracing stays disabled and zero-cost) when no flag was
 /// given.
@@ -157,6 +160,15 @@ where
     }
 }
 
+/// The flags [`open_history_sink`] reads.
+pub const STORE_FLAGS: &[&str] = &[
+    "store",
+    "store-depth",
+    "store-partition-secs",
+    "store-retention-secs",
+    "store-max-partitions",
+];
+
 /// Opens the history sink when `--store DIR` was given, printing what
 /// recovery found if it found anything.
 pub fn open_history_sink(flags: &Flags) -> Result<Option<HistorySink>, String> {
@@ -198,6 +210,9 @@ pub fn load_engine(path: &str) -> Result<EngineSnapshot, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     serde_json::from_str(&json).map_err(|e| format!("cannot parse {path}: {e}"))
 }
+
+/// The flags [`apply_alarm_flags`] reads.
+pub const ALARM_FLAGS: &[&str] = &["system-threshold", "measurement-threshold", "consecutive"];
 
 /// Applies the alarm-policy overrides (`--system-threshold`,
 /// `--measurement-threshold`, `--consecutive`) onto a loaded snapshot;

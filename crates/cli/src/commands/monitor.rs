@@ -9,7 +9,7 @@ use gridwatch_timeseries::Timestamp;
 use crate::commands::replay::ReportTally;
 use crate::commands::{
     apply_alarm_flags, load_engine, load_trace, open_history_sink, store_checkpoint,
-    trace_snapshots, STORE_HELP,
+    trace_snapshots, ALARM_FLAGS, STORE_FLAGS, STORE_HELP,
 };
 use crate::flags::Flags;
 
@@ -36,7 +36,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{STORE_HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["incidents"])?;
+    let flags = Flags::parse(
+        "monitor",
+        args,
+        &["incidents"],
+        &[
+            &["trace", "engine", "from-day", "days", "save"],
+            ALARM_FLAGS,
+            STORE_FLAGS,
+        ],
+    )?;
     let trace_path: String = flags.require("trace")?;
     let engine_path: String = flags.require("engine")?;
     let from_day: u64 = flags.get_or("from-day", 15)?;

@@ -23,6 +23,18 @@ use crate::commands::{
 };
 use crate::flags::Flags;
 
+/// The flags this module reads; [`pipeline_obs`] also reads
+/// [`crate::commands::EXEMPLAR_FLAGS`].
+pub(crate) const REPLAY_FLAGS: &[&str] = &[
+    "from-day",
+    "days",
+    "rate",
+    "checkpoint",
+    "checkpoint-every",
+    "stats",
+    "metrics",
+];
+
 /// The observability handles a serving command runs with, from its
 /// flags.
 pub(crate) fn pipeline_obs(flags: &Flags) -> Result<PipelineObs, String> {

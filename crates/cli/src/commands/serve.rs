@@ -13,8 +13,11 @@ use gridwatch_serve::{
     ServeConfig, ServeStats, ShardedEngine, WireProtocol,
 };
 
-use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump};
-use crate::commands::{apply_alarm_flags, load_engine, load_trace, open_history_sink};
+use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump, REPLAY_FLAGS};
+use crate::commands::{
+    apply_alarm_flags, load_engine, load_trace, open_history_sink, ALARM_FLAGS, EXEMPLAR_FLAGS,
+    STORE_FLAGS,
+};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -104,7 +107,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}\n\n{}", crate::commands::TRACE_HELP);
         return Ok(());
     }
-    let flags = Flags::parse(args, &["resume"])?;
+    let flags = Flags::parse(
+        "serve",
+        args,
+        &["resume"],
+        &[
+            &["trace", "listen", "engine", "max-snapshots"],
+            &["shards", "queue-capacity", "backpressure"],
+            &["sample-watermark", "sample-stride"],
+            &["protocol", "read-timeout", "max-frame-bytes"],
+            &["ingest-capacity", "reorder-capacity"],
+            SKETCH_FLAGS,
+            ALARM_FLAGS,
+            STORE_FLAGS,
+            EXEMPLAR_FLAGS,
+            REPLAY_FLAGS,
+        ],
+    )?;
     if flags.has("resume") && flags.get::<String>("checkpoint")?.is_none() {
         return Err("--resume requires --checkpoint DIR".to_string());
     }
@@ -171,21 +190,23 @@ fn load_snapshot(
     Ok((snapshot, sources))
 }
 
+/// The flags [`apply_sketch_flags`] reads.
+const SKETCH_FLAGS: &[&str] = &[
+    "sketch-depth",
+    "sketch-admit",
+    "sketch-demote",
+    "sketch-admit-rounds",
+    "sketch-demote-rounds",
+    "sketch-cooldown",
+    "sketch-rescore-every",
+    "sketch-max-materialized",
+];
+
 /// Applies `--sketch-*` overrides onto the snapshot's engine config,
 /// mirroring the alarm flags above. A snapshot without a sketch config
 /// gains one (from defaults) as soon as any override is given;
 /// `--sketch-depth 0` removes the gate entirely.
 fn apply_sketch_flags(flags: &Flags, snapshot: &mut EngineSnapshot) -> Result<(), String> {
-    const SKETCH_FLAGS: &[&str] = &[
-        "sketch-depth",
-        "sketch-admit",
-        "sketch-demote",
-        "sketch-admit-rounds",
-        "sketch-demote-rounds",
-        "sketch-cooldown",
-        "sketch-rescore-every",
-        "sketch-max-materialized",
-    ];
     let overridden = SKETCH_FLAGS
         .iter()
         .any(|name| matches!(flags.get::<String>(name), Ok(Some(_))));

@@ -38,7 +38,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("shard-worker", args, &[], &[&["listen", "metrics"]])?;
     let addr: String = flags.require("listen")?;
     let metrics_addr: Option<String> = flags.get("metrics")?;
     let obs = PipelineObs::default();

@@ -29,7 +29,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["fault"])?;
+    let flags = Flags::parse(
+        "simulate",
+        args,
+        &["fault"],
+        &[&["out", "group", "machines", "days", "seed", "chaos"]],
+    )?;
     let out: String = flags.require("out")?;
     let group: GroupId = flags.get_or("group", GroupId::A)?;
     let machines: usize = flags.get_or("machines", 4)?;

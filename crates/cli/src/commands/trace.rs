@@ -10,7 +10,7 @@ use std::path::Path;
 use gridwatch_obs::TraceExemplar;
 use gridwatch_store::{HistoryStore, Record, RecordKind};
 
-use crate::commands::history::window;
+use crate::commands::history::{window, WINDOW_FLAGS};
 use crate::flags::Flags;
 
 const HELP: &str = "\
@@ -46,7 +46,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["alarmed"])?;
+    let flags = Flags::parse(
+        "trace",
+        args,
+        &["alarmed"],
+        &[
+            &["store", "format", "limit", "slowest", "source"],
+            WINDOW_FLAGS,
+        ],
+    )?;
     let dir: String = flags.require("store")?;
     let format: String = flags.get_or("format", "text".to_string())?;
     if format != "text" && format != "json" {

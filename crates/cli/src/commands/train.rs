@@ -31,17 +31,19 @@ gridwatch train --trace FILE --out FILE [flags]
                    instead of dropped — a streaming correlation
                    sketch scores them per snapshot and only pairs
                    clearing the admission threshold get a grid model
-                   (tune at serve time with the --sketch-* flags)
-  --row-format F   probability-row storage: dense | quantized |
-                   sparse (default dense; quantized and sparse cut
-                   model memory ~4x+ with rank-identical scores)";
+                   (tune at serve time with the --sketch-* flags)";
 
 pub fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(args, &["frozen", "drift", "sketch"])?;
+    let flags = Flags::parse(
+        "train",
+        args,
+        &["frozen", "drift", "sketch"],
+        &[&["trace", "out", "train-days", "max-pairs", "min-cv", "delta"]],
+    )?;
     let trace_path: String = flags.require("trace")?;
     let out: String = flags.require("out")?;
     let train_days: u64 = flags.get_or("train-days", 8)?;
@@ -86,7 +88,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .collect();
     let mut model = ModelConfig::builder()
         .update_threshold(delta)
-        .row_format(flags.get_or("row-format", gridwatch_core::RowFormat::Dense)?)
         .build()
         .map_err(|e| e.to_string())?;
     if flags.has("frozen") {

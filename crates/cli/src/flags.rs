@@ -9,13 +9,32 @@ use std::str::FromStr;
 pub struct Flags {
     values: BTreeMap<String, String>,
     switches: Vec<String>,
+    /// Every name the command declared, for the read-side check below.
+    declared: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `args`, treating names in `switches` as boolean flags and
-    /// everything else starting with `--` as `--key value`.
-    pub fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
-        let mut flags = Flags::default();
+    /// Parses the arguments of `gridwatch <command>`, treating names in
+    /// `switches` as boolean flags and names in any group of `values` as
+    /// `--key value`. Any other `--name` is an error: a misspelt flag
+    /// must not silently run the command with the default.
+    ///
+    /// `values` is a list of groups so a command can name its own flags
+    /// next to the groups its shared helpers read.
+    pub fn parse(
+        command: &str,
+        args: &[String],
+        switches: &[&str],
+        values: &[&[&str]],
+    ) -> Result<Flags, String> {
+        let mut flags = Flags {
+            declared: switches
+                .iter()
+                .chain(values.iter().copied().flatten())
+                .map(|name| name.to_string())
+                .collect(),
+            ..Flags::default()
+        };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
@@ -23,6 +42,8 @@ impl Flags {
             };
             if switches.contains(&name) {
                 flags.switches.push(name.to_string());
+            } else if !values.iter().any(|group| group.contains(&name)) {
+                return Err(format!("unknown flag --{name} for gridwatch {command}"));
             } else {
                 let value = it
                     .next()
@@ -33,8 +54,19 @@ impl Flags {
         Ok(flags)
     }
 
+    /// Reading a flag the command never declared would make `parse`
+    /// reject a documented flag; catch the stale list in debug builds
+    /// (which is what the integration tests run).
+    fn check_declared(&self, name: &str) {
+        debug_assert!(
+            self.declared.iter().any(|d| d == name),
+            "flag --{name} is read but not declared to Flags::parse"
+        );
+    }
+
     /// Whether a boolean switch was given.
     pub fn has(&self, name: &str) -> bool {
+        self.check_declared(name);
         self.switches.iter().any(|s| s == name)
     }
 
@@ -43,12 +75,8 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
-        let raw = self
-            .values
-            .get(name)
-            .ok_or_else(|| format!("--{name} is required"))?;
-        raw.parse()
-            .map_err(|e| format!("bad value for --{name}: {e}"))
+        self.get(name)?
+            .ok_or_else(|| format!("--{name} is required"))
     }
 
     /// An optional flag value with a default, parsed.
@@ -56,12 +84,7 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| format!("bad value for --{name}: {e}")),
-        }
+        Ok(self.get(name)?.unwrap_or(default))
     }
 
     /// An optional flag value, parsed.
@@ -69,6 +92,7 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
+        self.check_declared(name);
         match self.values.get(name) {
             None => Ok(None),
             Some(raw) => raw
@@ -90,8 +114,10 @@ mod tests {
     #[test]
     fn parses_values_and_switches() {
         let f = Flags::parse(
+            "test",
             &args(&["--days", "3", "--fault", "--out", "x.csv"]),
-            &["fault"],
+            &["fault", "verbose"],
+            &[&["days"], &["out"]],
         )
         .unwrap();
         assert_eq!(f.require::<u64>("days").unwrap(), 3);
@@ -102,19 +128,35 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = Flags::parse(&args(&["--days"]), &[]).unwrap_err();
+        let err = Flags::parse("test", &args(&["--days"]), &[], &[&["days"]]).unwrap_err();
         assert!(err.contains("requires a value"));
     }
 
     #[test]
+    fn undeclared_flags_are_rejected_by_name_and_command() {
+        // A misspelt value flag and a misspelt switch alike.
+        for typo in [&["--dyas", "3"][..], &["--fualt"][..]] {
+            let err = Flags::parse("simulate", &args(typo), &["fault"], &[&["days"]]).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{err}");
+            assert!(err.ends_with("for gridwatch simulate"), "{err}");
+        }
+    }
+
+    #[test]
     fn positional_arguments_rejected() {
-        let err = Flags::parse(&args(&["oops"]), &[]).unwrap_err();
+        let err = Flags::parse("test", &args(&["oops"]), &[], &[]).unwrap_err();
         assert!(err.contains("positional"));
     }
 
     #[test]
     fn defaults_and_optionals() {
-        let f = Flags::parse(&args(&["--seed", "9"]), &[]).unwrap();
+        let f = Flags::parse(
+            "test",
+            &args(&["--seed", "9"]),
+            &[],
+            &[&["seed", "machines", "days"]],
+        )
+        .unwrap();
         assert_eq!(f.get_or("machines", 4usize).unwrap(), 4);
         assert_eq!(f.get::<u64>("seed").unwrap(), Some(9));
         assert_eq!(f.get::<u64>("days").unwrap(), None);
@@ -123,7 +165,7 @@ mod tests {
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let f = Flags::parse(&args(&["--days", "three"]), &[]).unwrap();
+        let f = Flags::parse("test", &args(&["--days", "three"]), &[], &[&["days"]]).unwrap();
         let err = f.require::<u64>("days").unwrap_err();
         assert!(err.contains("--days"));
     }

@@ -160,6 +160,15 @@ fn eval_flag_validation() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("mayhem"));
+    // A flag eval never reads is an error, not a default run.
+    let out = bin()
+        .args(["eval", "--chaos", "--regimes", "drift"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --regimes for gridwatch eval")
+    );
     // --help mentions every regime.
     let help = stdout_of(&run_ok(bin().args(["eval", "--help"])));
     for regime in ["drift", "skew", "flapping", "overload", "cascade"] {

@@ -1,4 +1,4 @@
-use gridwatch_grid::{DecayKernel, GridConfig, GrowthPolicy, RowFormat};
+use gridwatch_grid::{DecayKernel, GridConfig, GrowthPolicy};
 use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
@@ -47,15 +47,6 @@ pub struct ModelConfig {
     /// How many online observations between forgetting passes (default:
     /// one day of 6-minute samples).
     pub forgetting_period: u64,
-    /// In-memory representation of materialized probability rows (the
-    /// memory diet for `V` at million-measurement scale; see
-    /// [`gridwatch_grid::rows`]). `Dense` keeps the exact `f64` rows;
-    /// `Quantized` and `Sparse` store u16 fixed-point levels whose
-    /// scoring is bit-identical to scoring their dequantized rows.
-    /// Defaults to `Dense`, and checkpoints written before this field
-    /// existed deserialize to `Dense`.
-    #[serde(default)]
-    pub row_format: RowFormat,
 }
 
 impl Default for ModelConfig {
@@ -69,7 +60,6 @@ impl Default for ModelConfig {
             adaptive: true,
             forgetting_factor: 1.0,
             forgetting_period: 240,
-            row_format: RowFormat::Dense,
         }
     }
 }
@@ -190,13 +180,6 @@ impl ModelConfigBuilder {
         self
     }
 
-    /// Sets the probability-row representation (see
-    /// [`ModelConfig::row_format`]).
-    pub fn row_format(mut self, format: RowFormat) -> Self {
-        self.config.row_format = format;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -247,27 +230,5 @@ mod tests {
     fn frozen_clears_adaptive() {
         let c = ModelConfig::default().frozen();
         assert!(!c.adaptive);
-    }
-
-    #[test]
-    fn row_format_defaults_to_dense_and_is_buildable() {
-        assert_eq!(ModelConfig::default().row_format, RowFormat::Dense);
-        let c = ModelConfig::builder()
-            .row_format(RowFormat::Quantized)
-            .build()
-            .unwrap();
-        assert_eq!(c.row_format, RowFormat::Quantized);
-    }
-
-    #[test]
-    fn config_without_row_format_key_deserializes_to_dense() {
-        // A checkpoint written before the compact-row formats existed has
-        // no `row_format` key; it must load as Dense, not fail.
-        let json = serde_json::to_string(&ModelConfig::default()).unwrap();
-        let stripped = json.replace(",\"row_format\":\"Dense\"", "");
-        assert_ne!(json, stripped, "test must actually strip the key");
-        let back: ModelConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.row_format, RowFormat::Dense);
-        assert_eq!(back, ModelConfig::default());
     }
 }

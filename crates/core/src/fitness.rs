@@ -11,7 +11,7 @@
 //! internal ordering. (The paper's worked example, Figure 11, has no ties;
 //! this module's tests reproduce it exactly.)
 
-use gridwatch_grid::{CellId, SparseRow};
+use gridwatch_grid::CellId;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of scoring one observed transition.
@@ -118,56 +118,6 @@ pub fn score_row(row: &[f64], destination: CellId) -> TransitionScore {
     TransitionScore::in_grid(
         fitness_from_rank(rank, row.len()),
         row[destination.index()],
-        rank,
-        row.len(),
-        destination,
-    )
-}
-
-/// Scores a destination against a u16-quantized row without
-/// materializing it.
-///
-/// Bit-identical to [`score_row`] over the dequantized row
-/// `p_j = levels[j] / denom`: dividing by a positive constant preserves
-/// strict order (so the competition rank computed on the `u16`s equals
-/// the rank on the `f64`s) and the probability is recovered with the
-/// same single division the materialization would perform.
-///
-/// # Panics
-///
-/// Panics if `destination` is out of range for `levels`.
-pub fn score_quantized_row(levels: &[u16], denom: f64, destination: CellId) -> TransitionScore {
-    let q = levels[destination.index()];
-    let rank = 1 + levels.iter().filter(|&&v| v > q).count();
-    TransitionScore::in_grid(
-        fitness_from_rank(rank, levels.len()),
-        f64::from(q) / denom,
-        rank,
-        levels.len(),
-        destination,
-    )
-}
-
-/// Scores a destination against a sparse quantized row without
-/// materializing it. Bit-identical to [`score_row`] over
-/// [`SparseRow::materialize`]: absent cells dequantize to exactly `0.0`
-/// and tie at the worst rank, stored entries are all positive so only
-/// they can outrank the destination.
-///
-/// # Panics
-///
-/// Panics if `destination` is out of range for the row.
-pub fn score_sparse_row(row: &SparseRow, destination: CellId) -> TransitionScore {
-    assert!(
-        destination.index() < row.len(),
-        "destination {destination} out of range for {} cells",
-        row.len()
-    );
-    let q = row.level(destination.index());
-    let rank = 1 + row.entries().iter().filter(|&&(_, v)| v > q).count();
-    TransitionScore::in_grid(
-        fitness_from_rank(rank, row.len()),
-        f64::from(q) / row.denom(),
         rank,
         row.len(),
         destination,

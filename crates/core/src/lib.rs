@@ -65,11 +65,8 @@ mod report;
 
 pub use config::{ModelConfig, ModelConfigBuilder};
 pub use error::ModelError;
-pub use fitness::{
-    fitness_from_rank, rank_of_destination, score_quantized_row, score_row, score_sparse_row,
-    TransitionScore,
-};
-pub use gridwatch_grid::{DecayKernel, RowFormat};
+pub use fitness::{fitness_from_rank, rank_of_destination, score_row, TransitionScore};
+pub use gridwatch_grid::DecayKernel;
 pub use matrix::TransitionMatrix;
 pub use model::{StepOutcome, TransitionModel};
 pub use report::CellRanges;

@@ -1,10 +1,9 @@
 use std::collections::{BTreeMap, HashMap};
 
-use gridwatch_grid::rows::quantize_row;
-use gridwatch_grid::{CellId, DecayKernel, GridStructure, RowArena, RowFormat, RowSlot, SparseRow};
+use gridwatch_grid::{CellId, DecayKernel, GridStructure};
 use serde::{Deserialize, Serialize};
 
-use crate::fitness::{score_quantized_row, score_row, score_sparse_row, TransitionScore};
+use crate::fitness::{score_row, TransitionScore};
 use crate::prior::{log_prior_row, normalize_log_row};
 
 /// The transition probability matrix `V` with `V[i][j] = P(c_i → c_j)`,
@@ -57,26 +56,9 @@ pub struct TransitionMatrix {
     /// transitions from cell `i` to cell `h`. Rows never observed are
     /// absent and equal to the prior.
     counts: BTreeMap<usize, BTreeMap<usize, u64>>,
-    /// In-memory representation used for memoized rows (the memory diet
-    /// for `V`; see [`gridwatch_grid::rows`]). Checkpoints written before
-    /// this field existed deserialize to [`RowFormat::Dense`].
-    #[serde(default)]
-    row_format: RowFormat,
-    /// Memoized materialized rows, invalidated on update/remap
-    /// ([`RowFormat::Dense`] only).
+    /// Memoized materialized rows, invalidated on update/remap.
     #[serde(skip)]
     row_cache: HashMap<usize, Vec<f64>>,
-    /// Memoized quantized rows ([`RowFormat::Quantized`]): arena slot and
-    /// dequantization denominator per source cell.
-    #[serde(skip)]
-    quant_cache: HashMap<usize, (RowSlot, f64)>,
-    /// Arena backing the quantized row levels; its width tracks the
-    /// grid's cell count and is reset when the grid grows.
-    #[serde(skip)]
-    arena: RowArena,
-    /// Memoized sparse rows ([`RowFormat::Sparse`]).
-    #[serde(skip)]
-    sparse_cache: HashMap<usize, SparseRow>,
     total_observations: u64,
 }
 
@@ -87,26 +69,12 @@ impl TransitionMatrix {
     ///
     /// Panics if `decay_rate <= 1`.
     pub fn new(kernel: DecayKernel, decay_rate: f64) -> Self {
-        TransitionMatrix::with_format(kernel, decay_rate, RowFormat::Dense)
-    }
-
-    /// Creates an empty matrix with an explicit memoized-row
-    /// representation (see [`gridwatch_grid::rows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decay_rate <= 1`.
-    pub fn with_format(kernel: DecayKernel, decay_rate: f64, format: RowFormat) -> Self {
         assert!(decay_rate > 1.0, "decay rate must exceed 1");
         TransitionMatrix {
             kernel,
             decay_rate,
             counts: BTreeMap::new(),
-            row_format: format,
             row_cache: HashMap::new(),
-            quant_cache: HashMap::new(),
-            arena: RowArena::new(),
-            sparse_cache: HashMap::new(),
             total_observations: 0,
         }
     }
@@ -114,18 +82,6 @@ impl TransitionMatrix {
     /// The decay kernel in use.
     pub fn kernel(&self) -> DecayKernel {
         self.kernel
-    }
-
-    /// The memoized-row representation in use.
-    pub fn row_format(&self) -> RowFormat {
-        self.row_format
-    }
-
-    /// Switches the memoized-row representation, dropping all memoized
-    /// rows (the integer counts — the persisted state — are untouched).
-    pub fn set_row_format(&mut self, format: RowFormat) {
-        self.row_format = format;
-        self.clear_cache();
     }
 
     /// The decay rate `w`.
@@ -178,17 +134,7 @@ impl TransitionMatrix {
             .entry(to.index())
             .or_insert(0) += 1;
         self.total_observations += 1;
-        self.invalidate_row(from.index());
-    }
-
-    /// Drops the memoized representations of one row (after its counts
-    /// changed).
-    fn invalidate_row(&mut self, from: usize) {
-        self.row_cache.remove(&from);
-        if let Some((slot, _)) = self.quant_cache.remove(&from) {
-            self.arena.free(slot);
-        }
-        self.sparse_cache.remove(&from);
+        self.row_cache.remove(&from.index());
     }
 
     /// Number of observed transitions from `from` to `to`.
@@ -244,92 +190,25 @@ impl TransitionMatrix {
         self.row(grid, from)[to.index()]
     }
 
-    /// Scores the transition `from → to` using the configured
-    /// memoized-row representation.
-    ///
-    /// For [`RowFormat::Dense`] this is exactly
-    /// `score_row(self.row(grid, from), to)`. The compact formats score
-    /// straight off the u16 levels; the result is bit-identical to
-    /// scoring their dequantized rows (see
-    /// [`crate::fitness::score_quantized_row`]), which approximate the
-    /// dense row within [`gridwatch_grid::float::ROW_QUANT_EPSILON`].
+    /// Scores the transition `from → to`: the rank-based fitness of `to`
+    /// in the memoized posterior row, exactly
+    /// `score_row(self.row(grid, from), to)`.
     ///
     /// # Panics
     ///
     /// Panics if `from` or `to` is outside the grid's cell range.
     pub fn score(&mut self, grid: &GridStructure, from: CellId, to: CellId) -> TransitionScore {
         assert!(to.index() < grid.cell_count(), "destination out of range");
-        match self.row_format {
-            RowFormat::Dense => score_row(self.row(grid, from), to),
-            RowFormat::Quantized => {
-                assert!(from.index() < grid.cell_count(), "row out of range");
-                if self.arena.width() != grid.cell_count() {
-                    // The grid grew (or the arena is fresh): every cached
-                    // slot has the wrong width.
-                    self.arena.reset(grid.cell_count());
-                    self.quant_cache.clear();
-                }
-                if !self.quant_cache.contains_key(&from.index()) {
-                    let dense = self.compute_row(grid, from);
-                    let (levels, denom) = quantize_row(&dense);
-                    let slot = self.arena.alloc(&levels);
-                    self.quant_cache.insert(from.index(), (slot, denom));
-                }
-                let &(slot, denom) = self
-                    .quant_cache
-                    .get(&from.index())
-                    .expect("row quantized above");
-                score_quantized_row(self.arena.get(slot), denom, to)
-            }
-            RowFormat::Sparse => {
-                assert!(from.index() < grid.cell_count(), "row out of range");
-                let fresh = match self.sparse_cache.get(&from.index()) {
-                    // Width mismatch: stale after growth, recompute.
-                    Some(row) => row.len() == grid.cell_count(),
-                    None => false,
-                };
-                if !fresh {
-                    let dense = self.compute_row(grid, from);
-                    self.sparse_cache
-                        .insert(from.index(), SparseRow::from_dense(&dense));
-                }
-                let row = self
-                    .sparse_cache
-                    .get(&from.index())
-                    .expect("row sparsified above");
-                score_sparse_row(row, to)
-            }
-        }
+        score_row(self.row(grid, from), to)
     }
 
-    /// Approximate bytes held by the memoized-row caches (the part of the
-    /// footprint the compact formats shrink; the integer counts are shared
-    /// by all formats). Used by the `model_rss` benchmark.
+    /// Approximate bytes held by the memoized rows (the integer counts,
+    /// the persisted state, are not included).
     pub fn approx_row_cache_bytes(&self) -> usize {
-        let dense: usize = self
-            .row_cache
+        self.row_cache
             .values()
             .map(|r| r.capacity() * std::mem::size_of::<f64>())
-            .sum();
-        let sparse: usize = self.sparse_cache.values().map(SparseRow::bytes).sum();
-        let quant_index = self.quant_cache.len() * std::mem::size_of::<(usize, (RowSlot, f64))>();
-        dense + sparse + self.arena.bytes() + quant_index
-    }
-
-    /// Bytes of memoized row *payload* only — the per-cell storage the
-    /// compact formats shrink (dense `f64` cells, live arena rows,
-    /// sparse entries). Cache-index bookkeeping, which every format
-    /// pays a constant of per cached row, is excluded; see
-    /// [`TransitionMatrix::approx_row_cache_bytes`] for the full
-    /// footprint.
-    pub fn row_payload_bytes(&self) -> usize {
-        let dense: usize = self
-            .row_cache
-            .values()
-            .map(|r| r.capacity() * std::mem::size_of::<f64>())
-            .sum();
-        let sparse: usize = self.sparse_cache.values().map(SparseRow::bytes).sum();
-        dense + sparse + self.arena.live_bytes()
+            .sum()
     }
 
     /// Exports the full dense matrix (row-major); intended for small
@@ -379,10 +258,6 @@ impl TransitionMatrix {
     /// Drops all memoized rows (e.g. after deserialization).
     pub fn clear_cache(&mut self) {
         self.row_cache.clear();
-        self.quant_cache.clear();
-        let width = self.arena.width();
-        self.arena.reset(width);
-        self.sparse_cache.clear();
     }
 
     /// Exponentially decays all observation counts by `factor` in
@@ -435,7 +310,6 @@ impl PartialEq for TransitionMatrix {
         self.kernel == other.kernel
             && self.decay_rate.to_bits() == other.decay_rate.to_bits()
             && self.counts == other.counts
-            && self.row_format == other.row_format
             && self.total_observations == other.total_observations
     }
 }
@@ -588,112 +462,18 @@ mod tests {
         TransitionMatrix::new(DecayKernel::MeanAxis, 1.0);
     }
 
-    /// A matrix with mixed observations (some rows heavy, some light).
-    fn observed(format: RowFormat) -> TransitionMatrix {
-        let mut v = TransitionMatrix::with_format(DecayKernel::MeanAxis, 2.0, format);
-        for k in 0..60 {
-            v.observe(CellId(k % 9), CellId((k * 5 + 2) % 9));
-        }
-        v
-    }
-
     #[test]
     fn dense_score_matches_score_row() {
         let grid = grid3x3();
-        let mut v = observed(RowFormat::Dense);
+        // Mixed observations: some rows heavy, some light.
+        let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
+        for k in 0..60 {
+            v.observe(CellId(k % 9), CellId((k * 5 + 2) % 9));
+        }
         for from in grid.cells() {
             for to in grid.cells() {
                 let expected = score_row(&v.compute_row(&grid, from), to);
                 assert_eq!(v.score(&grid, from, to), expected);
-            }
-        }
-    }
-
-    #[test]
-    fn compact_scores_match_their_dequantized_rows_bit_for_bit() {
-        let grid = grid3x3();
-        for format in [RowFormat::Quantized, RowFormat::Sparse] {
-            let mut v = observed(format);
-            for from in grid.cells() {
-                // Materialize the compact row exactly as the cache holds it.
-                let dense = v.compute_row(&grid, from);
-                let (levels, denom) = quantize_row(&dense);
-                let recovered = gridwatch_grid::rows::materialize_levels(&levels, denom);
-                for to in grid.cells() {
-                    let got = v.score(&grid, from, to);
-                    let expected = score_row(&recovered, to);
-                    assert_eq!(got, expected, "{format:?} {from}→{to}");
-                    // And the dequantized probability is close to the
-                    // exact dense one.
-                    assert!(
-                        (got.probability() - dense[to.index()]).abs()
-                            < gridwatch_grid::float::ROW_QUANT_EPSILON,
-                        "{format:?} {from}→{to}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compact_caches_are_invalidated_by_observe() {
-        let grid = grid3x3();
-        for format in [RowFormat::Quantized, RowFormat::Sparse] {
-            let mut v = TransitionMatrix::with_format(DecayKernel::MeanAxis, 2.0, format);
-            let before = v.score(&grid, CellId(0), CellId(8));
-            for _ in 0..20 {
-                v.observe(CellId(0), CellId(8));
-            }
-            let after = v.score(&grid, CellId(0), CellId(8));
-            assert!(after.probability() > before.probability(), "{format:?}");
-        }
-    }
-
-    #[test]
-    fn quantized_arena_reuses_slots_across_invalidation() {
-        let grid = grid3x3();
-        let mut v = TransitionMatrix::with_format(DecayKernel::MeanAxis, 2.0, RowFormat::Quantized);
-        for from in grid.cells() {
-            v.score(&grid, from, CellId(0));
-        }
-        let bytes = v.approx_row_cache_bytes();
-        // Re-observing a row frees and re-allocates its slot; the arena
-        // must not grow.
-        for _ in 0..5 {
-            v.observe(CellId(3), CellId(4));
-            v.score(&grid, CellId(3), CellId(0));
-        }
-        assert_eq!(v.approx_row_cache_bytes(), bytes);
-    }
-
-    #[test]
-    fn matrix_without_row_format_key_deserializes_to_dense() {
-        let v = observed(RowFormat::Dense);
-        let json = serde_json::to_string(&v).unwrap();
-        let stripped = json.replace(",\"row_format\":\"Dense\"", "");
-        assert_ne!(json, stripped, "test must actually strip the key");
-        let back: TransitionMatrix = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.row_format(), RowFormat::Dense);
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn compact_matrix_roundtrips_with_identical_scores() {
-        let grid = grid3x3();
-        for format in [RowFormat::Quantized, RowFormat::Sparse] {
-            let mut v = observed(format);
-            let json = serde_json::to_string(&v).unwrap();
-            let mut back: TransitionMatrix = serde_json::from_str(&json).unwrap();
-            assert_eq!(v, back);
-            assert_eq!(back.row_format(), format);
-            for from in grid.cells() {
-                for to in grid.cells() {
-                    assert_eq!(
-                        v.score(&grid, from, to),
-                        back.score(&grid, from, to),
-                        "{format:?} {from}→{to}"
-                    );
-                }
             }
         }
     }

@@ -80,8 +80,7 @@ impl TransitionModel {
             });
         }
         let grid = GridBuilder::new(config.grid).build(history.points())?;
-        let mut matrix =
-            TransitionMatrix::with_format(config.kernel, config.decay_rate, config.row_format);
+        let mut matrix = TransitionMatrix::new(config.kernel, config.decay_rate);
         let mut last_cell = None;
         for (_, from, to) in history.transitions() {
             let ci = grid
@@ -115,8 +114,7 @@ impl TransitionModel {
     /// Returns [`ModelError::InvalidConfig`] for bad parameters.
     pub fn from_grid(grid: GridStructure, config: ModelConfig) -> Result<Self, ModelError> {
         config.validate()?;
-        let matrix =
-            TransitionMatrix::with_format(config.kernel, config.decay_rate, config.row_format);
+        let matrix = TransitionMatrix::new(config.kernel, config.decay_rate);
         Ok(TransitionModel {
             grid,
             matrix,
@@ -218,8 +216,6 @@ impl TransitionModel {
         };
 
         let score = match (self.last_cell, dest) {
-            // Scores through the configured row representation: exact for
-            // Dense, bit-identical-to-dequantized for Quantized/Sparse.
             (Some(from), Some(to)) => Some(self.matrix.score(&self.grid, from, to)),
             (Some(_), None) => Some(TransitionScore::outlier(self.grid.cell_count())),
             (None, _) => None,

@@ -41,9 +41,6 @@ pub struct EngineConfig {
     pub model: ModelConfig,
     /// Alarm thresholds and debouncing.
     pub alarm: AlarmPolicy,
-    /// Update pair models on worker threads (crossbeam scoped threads).
-    /// Worthwhile from a few hundred pairs up.
-    pub parallel: bool,
     /// If set, a gap between consecutive snapshots larger than this many
     /// seconds resets every model's trajectory: the first sample after a
     /// monitoring outage must not be scored as a "transition" from the

@@ -207,14 +207,11 @@ impl DetectionEngine {
         }
         self.last_snapshot_at = Some(snapshot.at());
         let mut board = ScoreBoard::new(snapshot.at());
-        let results: Vec<(MeasurementPair, Option<f64>)> = if self.config.parallel {
-            self.step_parallel(snapshot)
-        } else {
-            self.models
-                .iter_mut()
-                .map(|(&pair, model)| (pair, observe_pair(model, pair, snapshot)))
-                .collect()
-        };
+        let results: Vec<(MeasurementPair, Option<f64>)> = self
+            .models
+            .iter_mut()
+            .map(|(&pair, model)| (pair, observe_pair(model, pair, snapshot)))
+            .collect();
         if let Some(drift) = self.drift.as_mut() {
             let fired = drift.observe(&mut self.models, self.config.model, snapshot, &results);
             if fired > 0 {
@@ -350,40 +347,6 @@ impl DetectionEngine {
             .as_ref()
             .map(SketchRuntime::total_demotions)
             .unwrap_or(0)
-    }
-
-    /// Parallel variant of the per-pair update using crossbeam scoped
-    /// threads over disjoint model chunks.
-    fn step_parallel(&mut self, snapshot: &Snapshot) -> Vec<(MeasurementPair, Option<f64>)> {
-        let mut entries: Vec<(MeasurementPair, &mut TransitionModel)> = self
-            .models
-            .iter_mut()
-            .map(|(&pair, model)| (pair, model))
-            .collect();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        let chunk_size = entries.len().div_ceil(workers).max(1);
-        let mut results = Vec::with_capacity(entries.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = entries
-                .chunks_mut(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter_mut()
-                            .map(|(pair, model)| (*pair, observe_pair(model, *pair, snapshot)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.extend(h.join().expect("pair-update worker panicked"));
-            }
-        })
-        .expect("crossbeam scope failed");
-        results
     }
 
     /// The value ranges of the cell a pair's trajectory currently
@@ -552,24 +515,6 @@ mod tests {
         // Only the (0,0)-(0,1) pair is fully present.
         let report = engine.step(&snap);
         assert_eq!(report.scores.len(), 1);
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let serial_cfg = EngineConfig::default();
-        let parallel_cfg = EngineConfig {
-            parallel: true,
-            ..EngineConfig::default()
-        };
-        let mut serial = DetectionEngine::train(training_pairs(), serial_cfg).unwrap();
-        let mut parallel = DetectionEngine::train(training_pairs(), parallel_cfg).unwrap();
-        for k in 0..20 {
-            let load = (k % 60) as f64;
-            let snap = snapshot_at(k, [load + 0.5, 2.0 * load + 10.0, 3.0 * load + 20.0]);
-            let a = serial.step(&snap);
-            let b = parallel.step(&snap);
-            assert_eq!(a.scores, b.scores, "step {k}");
-        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! This experiment trains a full-scale group (~100 screened
 //! measurements, all pairs) and measures training time, per-snapshot
-//! stepping cost (serial and parallel), and the sparse matrices' memory
-//! economy — the claims behind the paper's "the method is fast and can
-//! be embedded in online monitoring tools".
+//! stepping cost, and the sparse matrices' memory economy — the claims
+//! behind the paper's "the method is fast and can be embedded in online
+//! monitoring tools".
 
 use std::time::Instant;
 
@@ -75,7 +75,7 @@ pub fn run(options: RunOptions) -> ExperimentResult {
     // Train once, timed.
     let started = Instant::now();
     let mut engine = DetectionEngine::train(
-        histories.clone(),
+        histories,
         EngineConfig {
             model,
             ..EngineConfig::default()
@@ -84,7 +84,7 @@ pub fn run(options: RunOptions) -> ExperimentResult {
     .expect("scale training succeeds");
     let train_secs = started.elapsed().as_secs_f64();
 
-    // Step the test day's first two hours, serial.
+    // Step the test day's first two hours.
     let step_range: Vec<_> = scenario
         .trace
         .interval()
@@ -98,30 +98,6 @@ pub fn run(options: RunOptions) -> ExperimentResult {
         engine.step(&snapshot_at(&scenario.trace, t));
     }
     let serial_ms = started.elapsed().as_secs_f64() * 1e3 / step_range.len() as f64;
-
-    // Same with parallel stepping on a fresh engine.
-    let started = Instant::now();
-    let mut parallel_engine = DetectionEngine::train(
-        histories,
-        EngineConfig {
-            model,
-            parallel: true,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("scale training succeeds");
-    let _ = started; // training timed once above
-    let started = Instant::now();
-    for &t in &step_range {
-        parallel_engine.step(&snapshot_at(&scenario.trace, t));
-    }
-    let parallel_ms = started.elapsed().as_secs_f64() * 1e3 / step_range.len() as f64;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    result.notes.push(format!(
-        "parallel stepping measured on {cores} core(s); it only helps with >1"
-    ));
 
     // Memory economy: distinct sparse entries vs a dense matrix.
     let mut stored = 0u64;
@@ -139,10 +115,6 @@ pub fn run(options: RunOptions) -> ExperimentResult {
     table.push_row(vec![
         "per-snapshot step (serial)".into(),
         format!("{serial_ms:.2} ms"),
-    ]);
-    table.push_row(vec![
-        "per-snapshot step (parallel)".into(),
-        format!("{parallel_ms:.2} ms"),
     ]);
     table.push_row(vec![
         "per-model update (serial)".into(),

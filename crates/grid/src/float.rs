@@ -19,17 +19,6 @@
 /// mis-normalized transition row is off by orders of magnitude more).
 pub const EPSILON: f64 = 1e-9;
 
-/// Worst-case probability error of the u16 fixed-point row quantization
-/// in [`crate::rows`] (pinned; compact-row tests compare against it).
-///
-/// For a row of `s` cells with peak probability `m ≤ 1`, each level is
-/// `q_j = p_j/m · 65535 + e_j` with `|e_j| ≤ 0.5`, so the recovered
-/// probability `q_j / Σq` differs from `p_j` by at most
-/// `(0.5 + s/2) / (65535 − s/2)` — about `8e-3` even at `s = 1000`,
-/// and far smaller on the peaked posteriors the model produces. `1e-2`
-/// covers every grid this workspace builds with margin.
-pub const ROW_QUANT_EPSILON: f64 = 1e-2;
-
 /// Whether `a` and `b` are equal within [`EPSILON`] (hybrid
 /// absolute/relative tolerance).
 ///

@@ -49,7 +49,6 @@ pub mod float;
 mod interval;
 pub mod invariants;
 mod partition;
-pub mod rows;
 mod structure;
 
 pub use builder::{GridBuilder, GridConfig};
@@ -57,5 +56,4 @@ pub use distance::DecayKernel;
 pub use error::GridError;
 pub use interval::Interval;
 pub use partition::DimensionPartition;
-pub use rows::{QuantizedRow, RowArena, RowFormat, RowSlot, SparseRow};
 pub use structure::{CellId, Extension, GridStructure, GrowthPolicy, Location};

@@ -47,8 +47,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use gridwatch_detect::{
-    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, LifecycleKind, ScoreBoard,
-    Snapshot, StepReport,
+    AlarmTracker, DetectionEngine, EngineSnapshot, LifecycleKind, ScoreBoard, Snapshot, StepReport,
 };
 use gridwatch_obs::{FlightRecorder, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{classes, OrderedMutex};
@@ -60,7 +59,7 @@ use crate::router::ShardRouter;
 use crate::stats::{ServeStats, StatsAccumulator};
 
 /// Configuration of the serving layer (the detection semantics live in
-/// the wrapped engine's [`EngineConfig`]).
+/// the wrapped engine's [`gridwatch_detect::EngineConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of shard worker threads the pair models are split across.
@@ -766,12 +765,6 @@ fn push_evicting(
 /// worker, from the shard's slice of the model state.
 pub(crate) fn shard_engine(state: EngineSnapshot, recorder: FlightRecorder) -> DetectionEngine {
     let mut engine = DetectionEngine::from_snapshot(EngineSnapshot {
-        // Shards (or worker processes) are the parallelism; each
-        // sub-engine scores serially.
-        config: EngineConfig {
-            parallel: false,
-            ..state.config
-        },
         // Alarms are evaluated once, on the merged board.
         tracker: AlarmTracker::new(),
         ..state
@@ -904,7 +897,7 @@ fn aggregator_loop<T: FnMut(Tally)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridwatch_detect::AlarmPolicy;
+    use gridwatch_detect::{AlarmPolicy, EngineConfig};
     use gridwatch_timeseries::{
         MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries, Timestamp,
     };

@@ -122,10 +122,7 @@ fn chaos_worker(listener: TcpListener, chaos: Chaos) -> JoinHandle<()> {
             panic!("chaos worker expected Hello first");
         };
         let mut engine = DetectionEngine::from_snapshot(EngineSnapshot {
-            config: EngineConfig {
-                parallel: false,
-                ..state.config
-            },
+            config: state.config,
             models: state.models,
             tracker: AlarmTracker::new(),
             candidates: state.candidates,
