@@ -67,7 +67,9 @@ find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
 
 echo "==> observability goldens (exposition format + stats schema)"
 cargo test -q -p gridwatch-serve --lib -- \
-    prometheus_exposition_is_pinned stats_dump_schema_is_pinned
+    prometheus_exposition_is_pinned stats_dump_schema_is_pinned \
+    fabric_exposition_is_pinned worker_exposition_is_pinned
+cargo test -q -p gridwatch-obs --lib -- burn_exposition_is_pinned healthz_json_schema_is_pinned
 
 echo "==> observability overhead gate (disabled tracing + exemplars must be free)"
 # Hard-gates both disabled hot paths at <= 15ns/step and prints the

@@ -382,6 +382,49 @@ mod tests {
         assert_eq!(bare.checkpoint_age_secs, None);
     }
 
+    /// Pins the burn-gauge block appended to every `/metrics` scrape:
+    /// family names, help strings, and the line order (all four
+    /// headers, then the stage gauges per window, then the ppm gauges).
+    #[test]
+    fn burn_exposition_is_pinned() {
+        let gauges = BurnGauges::new();
+        gauges.observe(0, sample(0, 0, 0, 0, &[]));
+        gauges.observe(30, sample(1, 2, 90, 7, &[400, 400, 9000]));
+        let mut expo = Exposition::new();
+        gauges.render_into(30, &mut expo);
+        let golden = "\
+# HELP gridwatch_burn_decode_error_ppm Decode failures per million frames over the window.
+# TYPE gridwatch_burn_decode_error_ppm gauge
+# HELP gridwatch_burn_sequence_error_ppm Sequencing rejections per million frames over the window.
+# TYPE gridwatch_burn_sequence_error_ppm gauge
+# HELP gridwatch_burn_coverage_ppm Sampling coverage per million submissions over the window.
+# TYPE gridwatch_burn_coverage_ppm gauge
+# HELP gridwatch_burn_stage_p99_ns Windowed p99 stage latency in nanoseconds.
+# TYPE gridwatch_burn_stage_p99_ns gauge
+gridwatch_burn_stage_p99_ns{stage=\"ingest\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"decode\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"sequence\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"route\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"score\",window=\"60s\"} 16383
+gridwatch_burn_stage_p99_ns{stage=\"merge\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"report\",window=\"60s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"ingest\",window=\"300s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"decode\",window=\"300s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"sequence\",window=\"300s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"route\",window=\"300s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"score\",window=\"300s\"} 16383
+gridwatch_burn_stage_p99_ns{stage=\"merge\",window=\"300s\"} 0
+gridwatch_burn_stage_p99_ns{stage=\"report\",window=\"300s\"} 0
+gridwatch_burn_decode_error_ppm{window=\"60s\"} 10000
+gridwatch_burn_sequence_error_ppm{window=\"60s\"} 20000
+gridwatch_burn_coverage_ppm{window=\"60s\"} 927835
+gridwatch_burn_decode_error_ppm{window=\"300s\"} 10000
+gridwatch_burn_sequence_error_ppm{window=\"300s\"} 20000
+gridwatch_burn_coverage_ppm{window=\"300s\"} 927835
+";
+        assert_eq!(expo.finish(), golden);
+    }
+
     #[test]
     fn empty_window_reads_zero_errors_full_coverage() {
         let gauges = BurnGauges::new();

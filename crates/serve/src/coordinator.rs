@@ -1007,3 +1007,96 @@ fn merge_loop<T: FnMut(Tally)>(
         merger.advance();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the coordinator's `/metrics` document: every
+    /// `gridwatch_fabric_*` name, kind, help string and its order, plus
+    /// the shared stage-span block, are part of the scrape contract.
+    #[test]
+    fn fabric_exposition_is_pinned() {
+        let obs = PipelineObs::enabled();
+        obs.tracer.record_ns(Stage::Score, 900);
+        obs.tracer.record_ns(Stage::Merge, 3);
+        let probe = CoordinatorMetricsProbe {
+            stats: Arc::new(OrderedMutex::new(
+                classes::FABRIC_STATS,
+                FabricStats {
+                    shards: 2,
+                    submitted: 11,
+                    reports: 10,
+                    alarms: 9,
+                    stale_boards: 8,
+                    duplicate_boards: 7,
+                    replayed_boards: 6,
+                    bad_boards: 5,
+                    disconnects: 4,
+                    migrations: 3,
+                    checkpoints: 1,
+                },
+            )),
+            slots: Arc::new(Vec::new()),
+            obs,
+        };
+        let golden = "\
+# HELP gridwatch_fabric_shards Shards in the fabric
+# TYPE gridwatch_fabric_shards gauge
+gridwatch_fabric_shards 2
+# HELP gridwatch_fabric_submitted_total Snapshots submitted for scoring
+# TYPE gridwatch_fabric_submitted_total counter
+gridwatch_fabric_submitted_total 11
+# HELP gridwatch_fabric_reports_total Step reports emitted
+# TYPE gridwatch_fabric_reports_total counter
+gridwatch_fabric_reports_total 10
+# HELP gridwatch_fabric_alarms_total Alarm events raised
+# TYPE gridwatch_fabric_alarms_total counter
+gridwatch_fabric_alarms_total 9
+# HELP gridwatch_fabric_stale_boards_total Boards fenced for a superseded epoch or dead shard
+# TYPE gridwatch_fabric_stale_boards_total counter
+gridwatch_fabric_stale_boards_total 8
+# HELP gridwatch_fabric_duplicate_boards_total Boards dropped as duplicates
+# TYPE gridwatch_fabric_duplicate_boards_total counter
+gridwatch_fabric_duplicate_boards_total 7
+# HELP gridwatch_fabric_replayed_boards_total Boards dropped as migration replay overlap
+# TYPE gridwatch_fabric_replayed_boards_total counter
+gridwatch_fabric_replayed_boards_total 6
+# HELP gridwatch_fabric_bad_boards_total Boards dropped as malformed
+# TYPE gridwatch_fabric_bad_boards_total counter
+gridwatch_fabric_bad_boards_total 5
+# HELP gridwatch_fabric_disconnects_total Worker connections lost
+# TYPE gridwatch_fabric_disconnects_total counter
+gridwatch_fabric_disconnects_total 4
+# HELP gridwatch_fabric_migrations_total Successful worker re-attachments
+# TYPE gridwatch_fabric_migrations_total counter
+gridwatch_fabric_migrations_total 3
+# HELP gridwatch_fabric_checkpoints_total Checkpoints completed
+# TYPE gridwatch_fabric_checkpoints_total counter
+gridwatch_fabric_checkpoints_total 1
+# HELP gridwatch_stage_ns Span timing of each pipeline stage in nanoseconds.
+# TYPE gridwatch_stage_ns histogram
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"0\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"1\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"3\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"7\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"15\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"31\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"63\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"127\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"255\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"511\"} 0
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"1023\"} 1
+gridwatch_stage_ns_bucket{stage=\"score\",le=\"+Inf\"} 1
+gridwatch_stage_ns_sum{stage=\"score\"} 900
+gridwatch_stage_ns_count{stage=\"score\"} 1
+gridwatch_stage_ns_bucket{stage=\"merge\",le=\"0\"} 0
+gridwatch_stage_ns_bucket{stage=\"merge\",le=\"1\"} 0
+gridwatch_stage_ns_bucket{stage=\"merge\",le=\"3\"} 1
+gridwatch_stage_ns_bucket{stage=\"merge\",le=\"+Inf\"} 1
+gridwatch_stage_ns_sum{stage=\"merge\"} 3
+gridwatch_stage_ns_count{stage=\"merge\"} 1
+";
+        assert_eq!(probe.to_prometheus(), golden);
+    }
+}

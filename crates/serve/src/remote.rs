@@ -713,6 +713,55 @@ mod tests {
     use gridwatch_detect::{AlarmTracker, EngineConfig};
     use gridwatch_timeseries::Timestamp;
 
+    /// Pins the worker's `/metrics` document: every
+    /// `gridwatch_worker_*` name, kind, help string and its order, plus
+    /// the shared stage-span block, are part of the scrape contract.
+    #[test]
+    fn worker_exposition_is_pinned() {
+        let obs = PipelineObs::enabled();
+        obs.tracer.record_ns(Stage::Decode, 5);
+        let probe = WorkerMetricsProbe {
+            summary: Arc::new(OrderedMutex::new(
+                classes::WORKER_SUMMARY,
+                WorkerSummary {
+                    sessions: 5,
+                    snapshots: 4,
+                    boards: 3,
+                    checkpoints: 2,
+                    protocol_errors: 1,
+                },
+            )),
+            obs,
+        };
+        let golden = "\
+# HELP gridwatch_worker_sessions_total Coordinator sessions served
+# TYPE gridwatch_worker_sessions_total counter
+gridwatch_worker_sessions_total 5
+# HELP gridwatch_worker_snapshots_total Snapshot frames scored
+# TYPE gridwatch_worker_snapshots_total counter
+gridwatch_worker_snapshots_total 4
+# HELP gridwatch_worker_boards_total Board frames sent upstream
+# TYPE gridwatch_worker_boards_total counter
+gridwatch_worker_boards_total 3
+# HELP gridwatch_worker_checkpoints_total Checkpoint markers answered
+# TYPE gridwatch_worker_checkpoints_total counter
+gridwatch_worker_checkpoints_total 2
+# HELP gridwatch_worker_protocol_errors_total Sessions dropped for protocol violations
+# TYPE gridwatch_worker_protocol_errors_total counter
+gridwatch_worker_protocol_errors_total 1
+# HELP gridwatch_stage_ns Span timing of each pipeline stage in nanoseconds.
+# TYPE gridwatch_stage_ns histogram
+gridwatch_stage_ns_bucket{stage=\"decode\",le=\"0\"} 0
+gridwatch_stage_ns_bucket{stage=\"decode\",le=\"1\"} 0
+gridwatch_stage_ns_bucket{stage=\"decode\",le=\"3\"} 0
+gridwatch_stage_ns_bucket{stage=\"decode\",le=\"7\"} 1
+gridwatch_stage_ns_bucket{stage=\"decode\",le=\"+Inf\"} 1
+gridwatch_stage_ns_sum{stage=\"decode\"} 5
+gridwatch_stage_ns_count{stage=\"decode\"} 1
+";
+        assert_eq!(probe.to_prometheus(), golden);
+    }
+
     #[test]
     fn frames_roundtrip_over_a_socket_pair() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
