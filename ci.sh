@@ -3,6 +3,28 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> repo hygiene: no tracked file over 1 MB, no stray tracked root-level file"
+# Scratch output must not ride along with a PR (PR 14 committed a 9.8 MB
+# simulator CSV at the root by accident). A new root-level file is a
+# deliberate act: add it to this list.
+root_allow=" .gitignore BENCHMARK.json CHANGELOG.md CHANGES.md Cargo.lock Cargo.toml \
+DESIGN.md EXPERIMENTS.md ISSUE.md LICENSE-APACHE LICENSE-MIT PAPER.md PAPERS.md \
+README.md ROADMAP.md SNIPPETS.md ci.sh repro_all_output.txt "
+hygiene=0
+while IFS= read -r -d '' f; do
+    # Deleted in the working tree but not yet staged: nothing to measure.
+    [ -e "$f" ] || continue
+    if [ "$(wc -c < "$f")" -gt 1048576 ]; then
+        echo "tracked file over 1 MB: $f" >&2
+        hygiene=1
+    fi
+    if [[ "$f" != */* && "$root_allow" != *" $f "* ]]; then
+        echo "tracked root-level file not on the allowlist: $f" >&2
+        hygiene=1
+    fi
+done < <(git ls-files -z)
+[ "$hygiene" -eq 0 ]
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -15,26 +37,26 @@ cargo clippy -q -p gridwatch-timeseries -p gridwatch-grid -p gridwatch-core \
     -p gridwatch-sync --lib -- \
     -D warnings -D clippy::float_cmp -D clippy::unwrap_used
 
-echo "==> gridwatch-audit: lint + concurrency pass + allowlist reconciliation"
+echo "==> gridwatch audit: lint + concurrency pass + allowlist reconciliation"
 # Prints the burn-down and concurrency trend lines; fails on any new
 # violation (per-file rules, lock-order cycles, blocking-under-lock,
 # condvar-no-loop) or stale allowlist entry.
-cargo run -q -p gridwatch-audit --bin gridwatch-audit -- lint --concurrency --root .
+cargo run -q -p gridwatch-cli -- audit --concurrency --root .
 
-echo "==> gridwatch-audit: fixture self-check"
+echo "==> gridwatch audit: fixture self-check"
 # The bad corpus must FAIL (proves the rules fire, including the seeded
 # AB/BA lock inversion) and the good corpus must pass (proves they
 # don't over-fire).
-bad_out=$(cargo run -q -p gridwatch-audit --bin gridwatch-audit -- --paths crates/audit/tests/fixtures/bad || true)
+bad_out=$(cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/bad 2> /dev/null || true)
 if ! grep -q "lock-cycle" <<< "$bad_out"; then
     echo "audit self-check FAILED: seeded lock inversion not flagged" >&2
     exit 1
 fi
-if cargo run -q -p gridwatch-audit --bin gridwatch-audit -- --paths crates/audit/tests/fixtures/bad > /dev/null; then
+if cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/bad > /dev/null 2>&1; then
     echo "audit self-check FAILED: bad fixture corpus passed the lints" >&2
     exit 1
 fi
-cargo run -q -p gridwatch-audit --bin gridwatch-audit -- --paths crates/audit/tests/fixtures/good > /dev/null
+cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/good > /dev/null
 
 echo "==> runtime lockdep unit tests (rank table + inversion panics)"
 cargo test -q -p gridwatch-sync

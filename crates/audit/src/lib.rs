@@ -1,7 +1,7 @@
 //! gridwatch-audit: in-repo static analysis for the gridwatch workspace.
 //!
-//! Three pieces, all exercised by the `gridwatch-audit` binary and the
-//! top-level `gridwatch audit` subcommand:
+//! Four pieces, all driven by the `gridwatch audit` subcommand (the
+//! crate's one front-end):
 //!
 //! * a **lint pass** ([`lints`]) over workspace sources using a
 //!   self-contained lexer ([`lexer`]) — no rustc or syn dependency, so

@@ -1,7 +1,8 @@
 //! Observability overhead: the disabled tracing path must be free.
 //!
-//! The pipeline takes a span around every stage of every snapshot, so
-//! the disabled path (one relaxed atomic load, no clock read, no
+//! The pipeline takes one span guard around every stage of every
+//! snapshot, feeding both the stage histograms and the exemplar traces,
+//! so its disabled path (two relaxed atomic loads, no clock read, no
 //! allocation) is on the hottest loop in the system. Besides the usual
 //! Criterion numbers this bench opens with a hard gate: a disabled span
 //! costing more than `DISABLED_SPAN_CEILING_NS` per call fails the run
@@ -11,26 +12,30 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gridwatch_obs::{ExemplarConfig, ExemplarTracer, FlightRecorder, SpanSlice, Stage, Tracer};
+use gridwatch_obs::{
+    ExemplarConfig, ExemplarTracer, FlightRecorder, PipelineObs, SpanSlice, Stage, Tracer,
+};
 
-/// Generous ceiling for one disabled span (load + branch, no clock
-/// read). An order of magnitude above the expected cost so slow or
+/// Generous ceiling for one disabled span (two loads + branch, no
+/// clock read). An order of magnitude above the expected cost so slow or
 /// heavily shared CI hosts do not flake, while an accidental clock read
 /// (~20-60ns) or allocation still trips it.
 const DISABLED_SPAN_CEILING_NS: f64 = 15.0;
 
 /// Hard-asserts the disabled-span cost before any benchmarks run.
 fn assert_disabled_path_is_free() {
-    let tracer = Tracer::disabled();
+    // Tracer and exemplar capture both off: the guard every stage
+    // takes, started and dropped.
+    let obs = PipelineObs::disabled();
     // Warm up, then time a tight loop long enough to drown out timer
     // granularity (~10ms at the ceiling).
     for _ in 0..100_000 {
-        black_box(tracer.span(black_box(Stage::Score)));
+        black_box(obs.span(black_box(Stage::Score)));
     }
     let iters = 1_000_000u32;
     let started = Instant::now();
     for _ in 0..iters {
-        black_box(tracer.span(black_box(Stage::Score)));
+        black_box(obs.span(black_box(Stage::Score)));
     }
     let per_iter_ns = started.elapsed().as_secs_f64() * 1e9 / f64::from(iters);
     assert!(
@@ -99,12 +104,12 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("disabled_span", |b| {
-        let tracer = Tracer::disabled();
-        b.iter(|| black_box(tracer.span(black_box(Stage::Score))));
+        let obs = PipelineObs::disabled();
+        b.iter(|| black_box(obs.span(black_box(Stage::Score))));
     });
     group.bench_function("enabled_span", |b| {
-        let tracer = Tracer::enabled();
-        b.iter(|| black_box(tracer.span(black_box(Stage::Score))));
+        let obs = PipelineObs::enabled();
+        b.iter(|| black_box(obs.span(black_box(Stage::Score))));
     });
     group.bench_function("record_ns_enabled", |b| {
         let tracer = Tracer::enabled();

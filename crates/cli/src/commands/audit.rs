@@ -1,20 +1,21 @@
 //! `gridwatch audit` — static analysis and checkpoint validation.
 //!
-//! Thin front-end over the `gridwatch-audit` crate: the same lint pass
-//! CI runs, plus the offline checkpoint validator for use before
-//! `gridwatch serve --resume`.
+//! The one front-end over the `gridwatch-audit` crate: the lint pass
+//! and fixture self-check CI runs, plus the offline checkpoint
+//! validator for use before `gridwatch serve --resume`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gridwatch_audit::{
     allowlist, checkpoint, concurrency, find_workspace_root, render_concurrency_trend,
-    render_trend, render_violation, scan_workspace,
+    render_trend, render_violation, scan_paths, scan_workspace,
 };
 
 use crate::flags::Flags;
 
 const HELP: &str = "\
 gridwatch audit [--concurrency] [--root DIR] [--allowlist FILE]
+gridwatch audit --paths DIR
 gridwatch audit --checkpoint DIR
 gridwatch audit --store DIR
 
@@ -24,6 +25,9 @@ gridwatch audit --store DIR
                     condvar waits without a predicate loop
   --root DIR        workspace root (default: walk up from the cwd)
   --allowlist FILE  allowlist ledger (default: <root>/audit/allowlist.txt)
+  --paths DIR       fixture mode: lint every file under DIR with every
+                    rule, the concurrency pass included, and no
+                    allowlist; fails on any violation
   --checkpoint DIR  validate a checkpoint directory instead of linting;
                     run this before `gridwatch serve --resume` on a
                     directory you do not trust
@@ -41,11 +45,28 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "audit",
         args,
         &["concurrency"],
-        &[&["root", "allowlist", "checkpoint", "store"]],
+        &[&["root", "allowlist", "paths", "checkpoint", "store"]],
     )?;
 
+    if let Some(dir) = flags.get::<String>("paths")? {
+        let scan_err = |e| format!("scanning {dir}: {e}");
+        let mut violations = scan_paths(Path::new(&dir)).map_err(scan_err)?;
+        let conc = concurrency::scan_concurrency_paths(Path::new(&dir)).map_err(scan_err)?;
+        violations.extend(conc.violations);
+        violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+        for v in &violations {
+            println!("{}", render_violation(v));
+        }
+        println!("{} violation(s) in {dir}", violations.len());
+        return if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{dir} failed the lints"))
+        };
+    }
+
     if let Some(dir) = flags.get::<String>("store")? {
-        let report = gridwatch_store::validate_store(std::path::Path::new(&dir))
+        let report = gridwatch_store::validate_store(Path::new(&dir))
             .map_err(|e| format!("cannot validate store {dir}: {e}"))?;
         for problem in &report.problems {
             println!("store problem: {problem}");
@@ -74,7 +95,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(dir) = flags.get::<String>("checkpoint")? {
-        let report = checkpoint::validate_checkpoint(std::path::Path::new(&dir));
+        let report = checkpoint::validate_checkpoint(Path::new(&dir));
         for problem in &report.problems {
             println!("checkpoint: {problem}");
         }

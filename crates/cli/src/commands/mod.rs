@@ -270,44 +270,21 @@ pub fn write_stats_atomic(path: &str, contents: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Starts the Prometheus endpoint when `--metrics ADDR` was given,
+/// Starts the `--metrics ADDR` endpoint when the flag was given,
 /// printing the bound address (port 0 picks a free port; tests parse
-/// this line to find it). The returned guard keeps the endpoint alive;
-/// dropping it stops serving.
-pub fn start_metrics<F>(
+/// this line to find it). `bind` chooses what it serves:
+/// `MetricsServer::bind` for `/metrics` alone, `bind_with_health` to
+/// also answer `GET /healthz` (always 200) and `GET /readyz` (503 when
+/// degraded). The returned guard keeps the endpoint alive; dropping it
+/// stops serving.
+pub fn start_metrics(
     addr: Option<&str>,
-    render: F,
-) -> Result<Option<gridwatch_obs::MetricsServer>, String>
-where
-    F: Fn() -> String + Send + Sync + 'static,
-{
+    bind: impl FnOnce(&str) -> std::io::Result<gridwatch_obs::MetricsServer>,
+) -> Result<Option<gridwatch_obs::MetricsServer>, String> {
     let Some(addr) = addr else {
         return Ok(None);
     };
-    let server = gridwatch_obs::MetricsServer::bind(addr, render)
-        .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-    println!("metrics on http://{}/metrics", server.local_addr());
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
-    Ok(Some(server))
-}
-
-/// `start_metrics` plus the health plane: the same endpoint also
-/// answers `GET /healthz` (always 200) and `GET /readyz` (503 when
-/// degraded) with the pinned-schema JSON the closure renders.
-pub fn start_metrics_with_health<F, H>(
-    addr: Option<&str>,
-    render: F,
-    health: H,
-) -> Result<Option<gridwatch_obs::MetricsServer>, String>
-where
-    F: Fn() -> String + Send + 'static,
-    H: Fn() -> (bool, String) + Send + 'static,
-{
-    let Some(addr) = addr else {
-        return Ok(None);
-    };
-    let server = gridwatch_obs::MetricsServer::bind_with_health(addr, render, health)
-        .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
+    let server = bind(addr).map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
     println!("metrics on http://{}/metrics", server.local_addr());
     std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
     Ok(Some(server))

@@ -18,8 +18,8 @@ use gridwatch_sim::Trace;
 use gridwatch_timeseries::Timestamp;
 
 use crate::commands::{
-    exemplar_config, health_closure, install_flight_panic_hook, start_metrics_with_health,
-    store_checkpoint, trace_snapshots, with_burn_gauges, write_stats_atomic, HealthState,
+    exemplar_config, health_closure, install_flight_panic_hook, start_metrics, store_checkpoint,
+    trace_snapshots, with_burn_gauges, write_stats_atomic, HealthState,
 };
 use crate::flags::Flags;
 
@@ -108,11 +108,13 @@ impl ReportPump {
         health_report: impl Fn() -> HealthReport + Send + 'static,
     ) -> Result<ReportPump, String> {
         let health = Arc::new(HealthState::default());
-        let metrics = start_metrics_with_health(
-            flags.get::<String>("metrics")?.as_deref(),
-            with_burn_gauges(render, sample),
-            health_closure(health_report, Arc::clone(&health)),
-        )?;
+        let metrics = start_metrics(flags.get::<String>("metrics")?.as_deref(), |addr| {
+            MetricsServer::bind_with_health(
+                addr,
+                with_burn_gauges(render, sample),
+                health_closure(health_report, Arc::clone(&health)),
+            )
+        })?;
         Ok(ReportPump {
             obs,
             sink,

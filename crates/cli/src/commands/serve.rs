@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use gridwatch_detect::{EngineSnapshot, SketchConfig, Snapshot, StepReport};
 use gridwatch_serve::{
-    burn_sample_from, BackpressurePolicy, Checkpointer, NetConfig, NetServer, SamplingConfig,
-    ServeConfig, ServeStats, ShardedEngine, WireProtocol,
+    BackpressurePolicy, Checkpointer, HistorySink, NetConfig, NetServer, SamplingConfig,
+    ServeConfig, ServeStats, ShardedEngine, StatsProbe, WireProtocol,
 };
 
 use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump, REPLAY_FLAGS};
@@ -279,6 +279,25 @@ impl ReplayFront for LocalFront {
     }
 }
 
+/// The report pump over the probe of the engine (or of the listener in
+/// front of it).
+fn start_pump(
+    flags: &Flags,
+    obs: gridwatch_obs::PipelineObs,
+    sink: Option<HistorySink>,
+    probe: StatsProbe,
+) -> Result<ReportPump, String> {
+    let (sample_probe, health_probe) = (probe.clone(), probe.clone());
+    ReportPump::start(
+        flags,
+        obs,
+        sink,
+        move || probe.to_prometheus(),
+        move || sample_probe.burn_sample(),
+        move || health_probe.health_report(),
+    )
+}
+
 /// Replays a trace file through the engine.
 fn run_replay(flags: &Flags) -> Result<(), String> {
     let trace_path: String = flags.require("trace")?;
@@ -292,19 +311,7 @@ fn run_replay(flags: &Flags) -> Result<(), String> {
     let sink = open_history_sink(flags)?;
     let obs = pipeline_obs(flags)?;
     let engine = ShardedEngine::start_with_obs(snapshot, serve_config, obs.clone());
-    let (probe, sample_probe, health_probe) = (
-        engine.stats_probe(),
-        engine.stats_probe(),
-        engine.stats_probe(),
-    );
-    let pump = ReportPump::start(
-        flags,
-        obs,
-        sink,
-        move || probe.to_prometheus(),
-        move || burn_sample_from(&sample_probe.stats(), &sample_probe.obs().tracer),
-        move || health_probe.health_report(),
-    )?;
+    let pump = start_pump(flags, obs, sink, engine.stats_probe())?;
     replay(
         flags,
         &trace,
@@ -383,19 +390,7 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
     std::io::stdout()
         .flush()
         .map_err(|e| format!("stdout: {e}"))?;
-    let (probe, sample_probe, health_probe) = (
-        server.metrics_probe(),
-        server.metrics_probe(),
-        server.metrics_probe(),
-    );
-    let mut pump = ReportPump::start(
-        flags,
-        obs,
-        sink,
-        move || probe.to_prometheus(),
-        move || burn_sample_from(&sample_probe.stats(), &sample_probe.obs().tracer),
-        move || health_probe.health_report(),
-    )?;
+    let mut pump = start_pump(flags, obs, sink, server.metrics_probe())?;
 
     let began = Instant::now();
     let mut seen = 0u64;
@@ -406,7 +401,7 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
             last_at = report.scores.at().as_secs();
             pump.pump(&report)?;
             if checkpoint_every > 0 && seen.is_multiple_of(checkpoint_every) {
-                pump.upkeep(last_at, || server.metrics_probe().stats().to_json())?;
+                pump.upkeep(last_at, || server.stats().to_json())?;
             }
         }
     }

@@ -5,7 +5,7 @@
 
 use std::io::Write;
 
-use gridwatch_obs::PipelineObs;
+use gridwatch_obs::{MetricsServer, PipelineObs};
 use gridwatch_serve::ShardWorker;
 
 use crate::commands::start_metrics;
@@ -54,7 +54,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .flush()
         .map_err(|e| format!("stdout: {e}"))?;
     let probe = worker.metrics_probe();
-    let _metrics = start_metrics(metrics_addr.as_deref(), move || probe.to_prometheus())?;
+    let _metrics = start_metrics(metrics_addr.as_deref(), |addr| {
+        MetricsServer::bind(addr, move || probe.to_prometheus())
+    })?;
     let summary = worker.run().map_err(|e| format!("worker failed: {e}"))?;
     println!(
         "worker served {} sessions: {} snapshots scored, {} boards sent, \

@@ -273,10 +273,31 @@ impl ExemplarTracer {
         self.core.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since this collector's trace epoch — the timeline
-    /// `SpanSlice::start_ns` offsets are measured on.
-    pub fn now_ns(&self) -> u64 {
-        self.core.epoch.elapsed().as_nanos() as u64
+    /// `at` in nanoseconds since this collector's trace epoch — the
+    /// timeline `SpanSlice::start_ns` offsets are measured on.
+    pub(crate) fn offset_ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.core.epoch).as_nanos() as u64
+    }
+
+    /// The slice for `stage` work on `shard` that ended just now and
+    /// took `dur_ns` by the caller's own timer (a shard's step clock
+    /// runs whether or not anything traces). `None` while capture is
+    /// off, before `worker` is even formatted.
+    pub fn ended_now(
+        &self,
+        stage: Stage,
+        dur_ns: u64,
+        shard: u64,
+        worker: impl std::fmt::Display,
+    ) -> Option<SpanSlice> {
+        self.is_enabled().then(|| {
+            let start_ns = self.offset_ns(Instant::now()).saturating_sub(dur_ns);
+            SpanSlice {
+                shard: Some(shard),
+                worker: worker.to_string(),
+                ..SpanSlice::new(stage, start_ns, dur_ns, "")
+            }
+        })
     }
 
     /// Opens the trace context for sequence `seq` from `source`, filed

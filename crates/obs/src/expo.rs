@@ -7,8 +7,25 @@
 //! `_sum` and `_count`. Everything is plain `u64` arithmetic; the
 //! output is deterministic for a given input, which is what lets a
 //! golden test pin the format.
+//!
+//! A stats document declares its metrics once, as a `const` table of
+//! [`Metric`] (or [`HistogramMetric`]) rows, and
+//! [`Exposition::scalars`] / [`Exposition::histograms`] walk the table:
+//! the text format is known here and nowhere else.
 
 use crate::hist::{bucket_upper_bound, LogHistogram};
+
+/// One scalar metric of a stats document `T`, as data: name, kind
+/// (`counter` or `gauge`), help text, and how to read it.
+pub type Metric<T> = (&'static str, &'static str, &'static str, fn(&T) -> u64);
+
+/// One histogram metric of a stats document `T`: name, help text, and
+/// the distribution to render.
+pub type HistogramMetric<T> = (&'static str, &'static str, fn(&T) -> &LogHistogram);
+
+/// One document to render through a metric table, under an optional
+/// `(key, value)` label.
+pub type Labelled<'a, T> = (Option<(&'a str, &'a str)>, &'a T);
 
 /// An exposition document under construction.
 #[derive(Debug, Default)]
@@ -43,12 +60,7 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
 
 /// Joins a base label set with the `le` label of a histogram bucket.
 fn bucket_labels(labels: &[(&str, &str)], le: &str) -> String {
-    let mut body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    body.push(format!("le=\"{le}\""));
-    format!("{{{}}}", body.join(","))
+    render_labels(&[labels, &[("le", le)]].concat())
 }
 
 impl Exposition {
@@ -93,6 +105,27 @@ impl Exposition {
             .push_str(&format!("{name}_sum{suffix} {}\n", hist.sum));
         self.out
             .push_str(&format!("{name}_count{suffix} {}\n", hist.count));
+    }
+
+    /// Walks a scalar metric table: one family per row, and under its
+    /// header one sample per document.
+    pub fn scalars<T>(&mut self, table: &[Metric<T>], docs: &[Labelled<'_, T>]) {
+        for &(name, kind, help, read) in table {
+            self.header(name, kind, help);
+            for (label, doc) in docs {
+                self.sample(name, label.as_slice(), read(doc));
+            }
+        }
+    }
+
+    /// Walks a histogram metric table, like [`Exposition::scalars`].
+    pub fn histograms<T>(&mut self, table: &[HistogramMetric<T>], docs: &[Labelled<'_, T>]) {
+        for &(name, help, read) in table {
+            self.header(name, "histogram", help);
+            for (label, doc) in docs {
+                self.histogram(name, label.as_slice(), read(doc));
+            }
+        }
     }
 
     /// The finished document.

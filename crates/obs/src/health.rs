@@ -34,6 +34,33 @@ pub const BURN_WINDOWS_SECS: [u64; 2] = [60, 300];
 /// long window many times over.
 const MAX_SAMPLES: usize = 1024;
 
+/// The burn-gauge families as `(name, kind, help)`, in header order:
+/// the three per-window rates (decode, sequence, coverage — the order
+/// [`BurnGauges::render_into`] computes them in), then the per-stage
+/// windowed p99.
+pub const BURN_METRICS: [(&str, &str, &str); 4] = [
+    (
+        "gridwatch_burn_decode_error_ppm",
+        "gauge",
+        "Decode failures per million frames over the window.",
+    ),
+    (
+        "gridwatch_burn_sequence_error_ppm",
+        "gauge",
+        "Sequencing rejections per million frames over the window.",
+    ),
+    (
+        "gridwatch_burn_coverage_ppm",
+        "gauge",
+        "Sampling coverage per million submissions over the window.",
+    ),
+    (
+        "gridwatch_burn_stage_p99_ns",
+        "gauge",
+        "Windowed p99 stage latency in nanoseconds.",
+    ),
+];
+
 /// One shard's liveness and queue pressure inside a [`HealthReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHealth {
@@ -130,8 +157,9 @@ pub struct BurnSample {
     pub submitted: u64,
     /// Snapshots shed by adaptive sampling, cumulative.
     pub sampled_out: u64,
-    /// Per-stage latency histograms, indexed like [`Stage::ALL`].
-    pub stages: Vec<LogHistogram>,
+    /// Per-stage latency histograms, as [`crate::Tracer::snapshot`]
+    /// returns them (in [`Stage::ALL`] order).
+    pub stages: Vec<(Stage, LogHistogram)>,
 }
 
 struct WindowState {
@@ -234,31 +262,14 @@ impl BurnGauges {
     /// coverage.
     pub fn render_into(&self, now_secs: u64, expo: &mut Exposition) {
         let state = self.window.lock();
-        expo.header(
-            "gridwatch_burn_decode_error_ppm",
-            "gauge",
-            "Decode failures per million frames over the window.",
-        );
-        expo.header(
-            "gridwatch_burn_sequence_error_ppm",
-            "gauge",
-            "Sequencing rejections per million frames over the window.",
-        );
-        expo.header(
-            "gridwatch_burn_coverage_ppm",
-            "gauge",
-            "Sampling coverage per million submissions over the window.",
-        );
-        expo.header(
-            "gridwatch_burn_stage_p99_ns",
-            "gauge",
-            "Windowed p99 stage latency in nanoseconds.",
-        );
-        let mut lines: Vec<(&'static str, String, u64)> = Vec::new();
+        for (name, kind, help) in BURN_METRICS {
+            expo.header(name, kind, help);
+        }
+        let mut rates: Vec<(String, [u64; 3])> = Vec::new();
         for window_secs in BURN_WINDOWS_SECS {
             let label = format!("{window_secs}s");
-            let (decode, sequence, coverage, stage_p99) = match state.samples.back() {
-                None => (0, 0, 1_000_000, vec![0u64; Stage::ALL.len()]),
+            let (window_rates, stage_p99) = match state.samples.back() {
+                None => ([0, 0, 1_000_000], vec![0u64; Stage::ALL.len()]),
                 Some((_, newest)) => {
                     let cutoff = now_secs.saturating_sub(window_secs);
                     let baseline = state
@@ -284,27 +295,27 @@ impl BurnGauges {
                     let empty = LogHistogram::new();
                     let p99s: Vec<u64> = (0..Stage::ALL.len())
                         .map(|idx| {
-                            let new = newest.stages.get(idx).unwrap_or(&empty);
-                            let old = baseline.stages.get(idx).unwrap_or(&empty);
+                            let new = newest.stages.get(idx).map_or(&empty, |(_, h)| h);
+                            let old = baseline.stages.get(idx).map_or(&empty, |(_, h)| h);
                             delta_histogram(new, old).p99()
                         })
                         .collect();
-                    (ppm(decode_d, frames), ppm(seq_d, frames), coverage, p99s)
+                    ([ppm(decode_d, frames), ppm(seq_d, frames), coverage], p99s)
                 }
             };
-            lines.push(("gridwatch_burn_decode_error_ppm", label.clone(), decode));
-            lines.push(("gridwatch_burn_sequence_error_ppm", label.clone(), sequence));
-            lines.push(("gridwatch_burn_coverage_ppm", label.clone(), coverage));
             for (stage, p99) in Stage::ALL.iter().zip(stage_p99) {
                 expo.sample(
-                    "gridwatch_burn_stage_p99_ns",
+                    BURN_METRICS[3].0,
                     &[("stage", stage.name()), ("window", &label)],
                     p99,
                 );
             }
+            rates.push((label, window_rates));
         }
-        for (name, label, value) in lines {
-            expo.sample(name, &[("window", &label)], value);
+        for (label, window_rates) in &rates {
+            for ((name, ..), value) in BURN_METRICS[..3].iter().zip(window_rates) {
+                expo.sample(name, &[("window", label)], *value);
+            }
         }
     }
 }
@@ -321,9 +332,9 @@ mod tests {
         sampled: u64,
         score_ns: &[u64],
     ) -> BurnSample {
-        let mut stages = vec![LogHistogram::new(); Stage::ALL.len()];
+        let mut stages = Stage::ALL.map(|s| (s, LogHistogram::new())).to_vec();
         for &ns in score_ns {
-            stages[4].record(ns); // Stage::Score
+            stages[4].1.record(ns); // Stage::Score
         }
         BurnSample {
             decode_errors: decode,
@@ -502,7 +513,7 @@ gridwatch_burn_coverage_ppm{window=\"300s\"} 927835
         early.submitted = 1_500;
         early.sampled_out = 500;
         for _ in 0..100 {
-            early.stages[4].record(8_000);
+            early.stages[4].1.record(8_000);
         }
         gauges.observe(290, early);
         let mut expo = Exposition::new();

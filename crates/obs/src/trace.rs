@@ -3,21 +3,20 @@
 //! The lifecycle of one snapshot crosses seven stages —
 //! `ingest → decode → sequence → route → score → merge → report` —
 //! spread over several threads and, in a fabric, several processes. A
-//! [`Tracer`] collects one lock-free [`LogHistogram`] per stage;
-//! [`Tracer::span`] returns a guard that records the elapsed
-//! monotonic time into the stage's histogram when dropped.
+//! [`Tracer`] collects one lock-free [`LogHistogram`] per stage, fed by
+//! the pipeline's one span guard ([`crate::PipelineObs::span`]) and, for
+//! durations measured elsewhere, by [`Tracer::record_ns`].
 //!
-//! The disabled path is built to vanish: a disabled tracer's `span`
-//! does one relaxed atomic load and returns a guard holding `None` —
-//! no allocation, no clock read, no lock. Handles are cheap clones of
-//! one shared core and can be enabled after the fact
+//! The disabled path is built to vanish: one relaxed atomic load and a
+//! branch — no allocation, no clock read, no lock. Handles are cheap
+//! clones of one shared core and can be enabled after the fact
 //! ([`Tracer::enable`]), which is how a `shard-worker` turns tracing
 //! on when the coordinator's `Hello` asks for it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
+use crate::expo::Exposition;
 use crate::hist::{bucket_index, LogHistogram, MAX_BUCKETS};
 
 /// One stage of the snapshot pipeline.
@@ -185,24 +184,9 @@ impl Tracer {
         self.core.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Starts a span over `stage`; the elapsed monotonic time is
-    /// recorded (in nanoseconds) when the returned guard drops. When
-    /// disabled this reads no clock and allocates nothing.
-    #[inline]
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span {
-            timed: if self.is_enabled() {
-                Some((&self.core, Instant::now()))
-            } else {
-                None
-            },
-            stage,
-        }
-    }
-
-    /// Records an externally-measured duration against `stage` —
-    /// the propagation path for timings that crossed the wire (a
-    /// worker's `score_ns` riding home on its board frame).
+    /// Records a measured duration against `stage`: a finished span,
+    /// or a timing that crossed the wire (a worker's `score_ns` riding
+    /// home on its board frame). A no-op while disabled.
     pub fn record_ns(&self, stage: Stage, ns: u64) {
         if self.is_enabled() {
             self.core.stages[stage.index()].record(ns);
@@ -218,18 +202,22 @@ impl Tracer {
     pub fn snapshot(&self) -> Vec<(Stage, LogHistogram)> {
         Stage::ALL.iter().map(|&s| (s, self.stage(s))).collect()
     }
-}
 
-/// A live span: records its stage's elapsed time on drop.
-pub struct Span<'a> {
-    timed: Option<(&'a Arc<TracerCore>, Instant)>,
-    stage: Stage,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some((core, start)) = self.timed.take() {
-            core.stages[self.stage.index()].record(start.elapsed().as_nanos() as u64);
+    /// Appends the per-stage span histograms to a scrape (skipped
+    /// entirely when no stage has recorded — a disabled tracer adds
+    /// nothing to the exposition).
+    pub fn render_into(&self, expo: &mut Exposition) {
+        let stages = self.snapshot();
+        if stages.iter().all(|(_, hist)| hist.count == 0) {
+            return;
+        }
+        expo.header(
+            "gridwatch_stage_ns",
+            "histogram",
+            "Span timing of each pipeline stage in nanoseconds.",
+        );
+        for (stage, hist) in stages.iter().filter(|(_, hist)| hist.count > 0) {
+            expo.histogram("gridwatch_stage_ns", &[("stage", stage.name())], hist);
         }
     }
 }
@@ -242,7 +230,6 @@ mod tests {
     fn disabled_spans_record_nothing() {
         let tracer = Tracer::disabled();
         for stage in Stage::ALL {
-            drop(tracer.span(stage));
             tracer.record_ns(stage, 123);
         }
         for (_, hist) in tracer.snapshot() {
@@ -253,8 +240,8 @@ mod tests {
     #[test]
     fn enabled_spans_land_in_their_stage() {
         let tracer = Tracer::enabled();
-        drop(tracer.span(Stage::Score));
-        drop(tracer.span(Stage::Score));
+        tracer.record_ns(Stage::Score, 7);
+        tracer.record_ns(Stage::Score, 9);
         tracer.record_ns(Stage::Merge, 512);
         assert_eq!(tracer.stage(Stage::Score).count, 2);
         let merge = tracer.stage(Stage::Merge);
@@ -267,11 +254,11 @@ mod tests {
     fn clones_share_state_and_late_enable_works() {
         let tracer = Tracer::disabled();
         let clone = tracer.clone();
-        drop(clone.span(Stage::Route));
+        clone.record_ns(Stage::Route, 5);
         assert_eq!(tracer.stage(Stage::Route).count, 0);
         tracer.enable();
         assert!(clone.is_enabled());
-        drop(clone.span(Stage::Route));
+        clone.record_ns(Stage::Route, 5);
         assert_eq!(tracer.stage(Stage::Route).count, 1);
     }
 

@@ -46,7 +46,7 @@ use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{AlarmTracker, EngineSnapshot, Snapshot, StepReport};
-use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
+use gridwatch_obs::{Exposition, Metric, PipelineObs, SpanSlice, Stage};
 
 use crate::checkpoint::{Checkpointer, RemoteShard};
 use crate::merge::{Cut, StepMerger, Tally};
@@ -117,6 +117,76 @@ pub struct FabricStats {
     /// Checkpoints completed.
     pub checkpoints: u64,
 }
+
+/// The coordinator's `/metrics` document, in scrape order.
+pub(crate) const FABRIC_METRICS: &[Metric<FabricStats>] = &[
+    (
+        "gridwatch_fabric_shards",
+        "gauge",
+        "Shards in the fabric",
+        |s| s.shards as u64,
+    ),
+    (
+        "gridwatch_fabric_submitted_total",
+        "counter",
+        "Snapshots submitted for scoring",
+        |s| s.submitted,
+    ),
+    (
+        "gridwatch_fabric_reports_total",
+        "counter",
+        "Step reports emitted",
+        |s| s.reports,
+    ),
+    (
+        "gridwatch_fabric_alarms_total",
+        "counter",
+        "Alarm events raised",
+        |s| s.alarms,
+    ),
+    (
+        "gridwatch_fabric_stale_boards_total",
+        "counter",
+        "Boards fenced for a superseded epoch or dead shard",
+        |s| s.stale_boards,
+    ),
+    (
+        "gridwatch_fabric_duplicate_boards_total",
+        "counter",
+        "Boards dropped as duplicates",
+        |s| s.duplicate_boards,
+    ),
+    (
+        "gridwatch_fabric_replayed_boards_total",
+        "counter",
+        "Boards dropped as migration replay overlap",
+        |s| s.replayed_boards,
+    ),
+    (
+        "gridwatch_fabric_bad_boards_total",
+        "counter",
+        "Boards dropped as malformed",
+        |s| s.bad_boards,
+    ),
+    (
+        "gridwatch_fabric_disconnects_total",
+        "counter",
+        "Worker connections lost",
+        |s| s.disconnects,
+    ),
+    (
+        "gridwatch_fabric_migrations_total",
+        "counter",
+        "Successful worker re-attachments",
+        |s| s.migrations,
+    ),
+    (
+        "gridwatch_fabric_checkpoints_total",
+        "counter",
+        "Checkpoints completed",
+        |s| s.checkpoints,
+    ),
+];
 
 /// Per-shard assignment published to the merge thread: which epoch is
 /// current and whether the shard has a live worker.
@@ -235,79 +305,15 @@ impl CoordinatorMetricsProbe {
             sequence_errors: s.stale_boards + s.duplicate_boards + s.replayed_boards,
             submitted: s.submitted,
             sampled_out: 0,
-            stages: self
-                .obs
-                .tracer
-                .snapshot()
-                .into_iter()
-                .map(|(_, h)| h)
-                .collect(),
+            stages: self.obs.tracer.snapshot(),
         }
     }
 
     /// Renders the fabric counters and any recorded stage timings.
     pub fn to_prometheus(&self) -> String {
-        let s = self.stats();
         let mut expo = Exposition::new();
-        expo.header("gridwatch_fabric_shards", "gauge", "Shards in the fabric");
-        expo.sample("gridwatch_fabric_shards", &[], s.shards as u64);
-        let counters: [(&str, &str, u64); 10] = [
-            (
-                "gridwatch_fabric_submitted_total",
-                "Snapshots submitted for scoring",
-                s.submitted,
-            ),
-            (
-                "gridwatch_fabric_reports_total",
-                "Step reports emitted",
-                s.reports,
-            ),
-            (
-                "gridwatch_fabric_alarms_total",
-                "Alarm events raised",
-                s.alarms,
-            ),
-            (
-                "gridwatch_fabric_stale_boards_total",
-                "Boards fenced for a superseded epoch or dead shard",
-                s.stale_boards,
-            ),
-            (
-                "gridwatch_fabric_duplicate_boards_total",
-                "Boards dropped as duplicates",
-                s.duplicate_boards,
-            ),
-            (
-                "gridwatch_fabric_replayed_boards_total",
-                "Boards dropped as migration replay overlap",
-                s.replayed_boards,
-            ),
-            (
-                "gridwatch_fabric_bad_boards_total",
-                "Boards dropped as malformed",
-                s.bad_boards,
-            ),
-            (
-                "gridwatch_fabric_disconnects_total",
-                "Worker connections lost",
-                s.disconnects,
-            ),
-            (
-                "gridwatch_fabric_migrations_total",
-                "Successful worker re-attachments",
-                s.migrations,
-            ),
-            (
-                "gridwatch_fabric_checkpoints_total",
-                "Checkpoints completed",
-                s.checkpoints,
-            ),
-        ];
-        for (name, help, value) in counters {
-            expo.header(name, "counter", help);
-            expo.sample(name, &[], value);
-        }
-        crate::stats::render_stage_spans(&mut expo, &self.obs.tracer);
+        expo.scalars(FABRIC_METRICS, &[(None, &self.stats())]);
+        self.obs.tracer.render_into(&mut expo);
         expo.finish()
     }
 }
@@ -540,12 +546,9 @@ impl Coordinator {
     /// a successor after [`Coordinator::attach_worker`]).
     pub fn submit(&mut self, snapshot: Snapshot) -> Result<u64, FabricError> {
         // Clone the handles so the span's borrow does not pin `self`.
-        let tracer = self.obs.tracer.clone();
-        let exemplar = self.obs.exemplar.clone();
-        let traced = exemplar.is_enabled();
-        let route_start = if traced { exemplar.now_ns() } else { 0 };
+        let obs = self.obs.clone();
         let at_secs = snapshot.at().as_secs();
-        let _route = tracer.span(Stage::Route);
+        let route = obs.span(Stage::Route);
         let seq = self.next_seq;
         self.next_seq += 1;
         let framed = encode_json(&WireFrame {
@@ -568,26 +571,16 @@ impl Coordinator {
                 self.mark_dead(shard);
             }
         }
-        if traced {
-            exemplar.open(seq, COORDINATOR_SOURCE, at_secs);
+        if obs.exemplar.is_enabled() {
+            obs.exemplar.open(seq, COORDINATOR_SOURCE, at_secs);
             // The coordinator sequences at the merge barrier, not at a
             // socket table; a zero-width Sequence slice keeps every
             // trace covering the same seven stages. Ingest/decode come
             // back with the workers' board spans.
-            exemplar.record(
-                seq,
-                SpanSlice::new(Stage::Sequence, route_start, 0, COORDINATOR_SOURCE),
-            );
-            exemplar.record(
-                seq,
-                SpanSlice::new(
-                    Stage::Route,
-                    route_start,
-                    exemplar.now_ns().saturating_sub(route_start),
-                    COORDINATOR_SOURCE,
-                ),
-            );
+            let sequence = SpanSlice::new(Stage::Sequence, route.start_ns(), 0, COORDINATOR_SOURCE);
+            obs.exemplar.record(seq, sequence);
         }
+        route.finish(seq, COORDINATOR_SOURCE);
         Ok(seq)
     }
 

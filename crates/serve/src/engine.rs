@@ -49,14 +49,14 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use gridwatch_detect::{
     AlarmTracker, DetectionEngine, EngineSnapshot, LifecycleKind, ScoreBoard, Snapshot, StepReport,
 };
-use gridwatch_obs::{FlightRecorder, PipelineObs, SpanSlice, Stage};
+use gridwatch_obs::{BurnSample, FlightRecorder, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{classes, OrderedMutex};
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
 use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
 use crate::merge::{Cut, StepMerger, Tally};
 use crate::router::ShardRouter;
-use crate::stats::{ServeStats, StatsAccumulator};
+use crate::stats::{NetStats, ServeStats};
 
 /// Configuration of the serving layer (the detection semantics live in
 /// the wrapped engine's [`gridwatch_detect::EngineConfig`]).
@@ -160,13 +160,12 @@ pub(crate) struct ScoredStep {
 pub struct ShardedEngine {
     config: ServeConfig,
     shard_senders: Vec<Sender<ShardMsg>>,
-    /// Receiver clones of the shard queues, used only by `DropOldest`
-    /// to steal the oldest queued snapshot.
-    shard_stealers: Vec<Receiver<ShardMsg>>,
     reply_sender: Sender<ShardReply>,
     reports_rx: Receiver<StepReport>,
-    stats: Arc<OrderedMutex<StatsAccumulator>>,
-    obs: PipelineObs,
+    /// The live stats document, the observability handles, and receiver
+    /// clones of the shard queues (which `DropOldest` also steals the
+    /// oldest queued snapshot through).
+    probe: StatsProbe,
     next_seq: u64,
     next_ckpt_id: u64,
     /// Monotone submit counter driving the sampling stride (counts
@@ -236,18 +235,13 @@ impl ShardedEngine {
         // been placed at startup.
         let candidate_partitions = router.partition_pairs(snapshot.candidates);
 
-        let stats = Arc::new(OrderedMutex::new(
-            classes::ENGINE_STATS,
-            StatsAccumulator::new(config.shards),
-        ));
-        {
-            let mut acc = stats.lock();
-            for (k, part) in partitions.iter().enumerate() {
-                acc.per_shard[k].pairs = part.len();
-                acc.per_shard[k].materialized = part.len();
-                acc.per_shard[k].tracked_pairs = part.len() + candidate_partitions[k].len();
-            }
+        let mut live = ServeStats::new(config.shards);
+        for (k, part) in partitions.iter().enumerate() {
+            live.shards[k].pairs = part.len();
+            live.shards[k].materialized_models = part.len();
+            live.shards[k].tracked_pairs = part.len() + candidate_partitions[k].len();
         }
+        let stats = Arc::new(OrderedMutex::new(classes::ENGINE_STATS, live));
 
         let (reply_tx, reply_rx) = channel::unbounded::<ShardReply>();
         let (reports_tx, reports_rx) = channel::unbounded::<StepReport>();
@@ -288,14 +282,14 @@ impl ShardedEngine {
             obs.clone(),
             "aggregator",
             move |tally| {
-                let mut acc = tally_stats.lock();
+                let mut live = tally_stats.lock();
                 match tally {
                     Tally::Report { alarms } => {
-                        acc.reports += 1;
-                        acc.alarms += alarms as u64;
+                        live.reports += 1;
+                        live.alarms += alarms as u64;
                     }
-                    Tally::EmptyStep => acc.empty_steps += 1,
-                    Tally::Checkpoint => acc.checkpoints += 1,
+                    Tally::EmptyStep => live.empty_steps += 1,
+                    Tally::Checkpoint => live.checkpoints += 1,
                     // Each worker answers each sequence number once and
                     // shards own disjoint pairs, so none of these can
                     // arise in-process; `ServeStats` has no field for
@@ -312,11 +306,15 @@ impl ShardedEngine {
         ShardedEngine {
             config,
             shard_senders,
-            shard_stealers,
             reply_sender: reply_tx,
             reports_rx,
-            stats,
-            obs,
+            probe: StatsProbe {
+                stats,
+                queues: shard_stealers,
+                obs,
+                queue_capacity: config.queue_capacity,
+                net: None,
+            },
             next_seq: 0,
             next_ckpt_id: 0,
             sample_tick: 0,
@@ -360,33 +358,29 @@ impl ShardedEngine {
         wire_spans: &[SpanSlice],
     ) -> IngestReport {
         // Clone the handles so the span's borrow does not pin `self`.
-        let tracer = self.obs.tracer.clone();
-        let exemplar = self.obs.exemplar.clone();
-        let traced = exemplar.is_enabled();
+        let obs = self.probe.obs.clone();
         let at_secs = snapshot.at().as_secs();
-        let route_start = if traced { exemplar.now_ns() } else { 0 };
-        let report = self.submit_inner(snapshot, &tracer);
-        if traced {
-            if let Some(seq) = report.seq {
-                exemplar.open(seq, source, at_secs);
+        let route = obs.span(Stage::Route);
+        let report = self.submit_inner(snapshot);
+        // A shed or rejected snapshot has no trace to file the span
+        // under; dropping it still times the stage.
+        if let Some(seq) = report.seq {
+            if obs.exemplar.is_enabled() {
+                obs.exemplar.open(seq, source, at_secs);
                 for stage in [Stage::Ingest, Stage::Decode, Stage::Sequence] {
                     if !wire_spans.iter().any(|s| s.stage == stage.name()) {
-                        exemplar.record(seq, SpanSlice::new(stage, route_start, 0, source));
+                        let slice = SpanSlice::new(stage, route.start_ns(), 0, source);
+                        obs.exemplar.record(seq, slice);
                     }
                 }
-                exemplar.record_slices(seq, wire_spans);
-                let dur = exemplar.now_ns().saturating_sub(route_start);
-                exemplar.record(
-                    seq,
-                    SpanSlice::new(Stage::Route, route_start, dur, "ingest"),
-                );
+                obs.exemplar.record_slices(seq, wire_spans);
             }
+            route.finish(seq, "ingest");
         }
         report
     }
 
-    fn submit_inner(&mut self, snapshot: Snapshot, tracer: &gridwatch_obs::Tracer) -> IngestReport {
-        let _route = tracer.span(Stage::Route);
+    fn submit_inner(&mut self, snapshot: Snapshot) -> IngestReport {
         // Sample every queue's depth up front: the distribution feeds
         // capacity planning, and `Reject` reuses the same reading for
         // its admission check.
@@ -400,11 +394,7 @@ impl ShardedEngine {
                 let tick = self.sample_tick;
                 self.sample_tick += 1;
                 if !tick.is_multiple_of(u64::from(sampling.stride)) {
-                    let mut acc = self.stats.lock();
-                    for (k, &depth) in depths.iter().enumerate() {
-                        acc.per_shard[k].observe_queue_depth(depth);
-                    }
-                    acc.sampled_out += 1;
+                    self.count_submit(&depths, &[], |live| live.sampled_out += 1);
                     return IngestReport {
                         seq: None,
                         evicted: 0,
@@ -427,11 +417,7 @@ impl ShardedEngine {
                 // blocking sends below cannot actually block.
                 let cap = self.config.queue_capacity;
                 if depths.iter().any(|&depth| depth >= cap) {
-                    let mut acc = self.stats.lock();
-                    for (k, &depth) in depths.iter().enumerate() {
-                        acc.per_shard[k].observe_queue_depth(depth);
-                    }
-                    acc.rejected += 1;
+                    self.count_submit(&depths, &[], |live| live.rejected += 1);
                     return IngestReport {
                         seq: None,
                         evicted: 0,
@@ -453,16 +439,14 @@ impl ShardedEngine {
                 for (k, tx) in self.shard_senders.iter().enumerate() {
                     let evicted = push_evicting(
                         tx,
-                        &self.shard_stealers[k],
+                        &self.probe.queues[k],
                         ShardMsg::Snapshot {
                             seq,
                             snap: Arc::clone(&snap),
                         },
                     );
                     if !evicted.is_empty() {
-                        let mut acc = self.stats.lock();
-                        acc.per_shard[k].evicted += evicted.len() as u64;
-                        drop(acc);
+                        self.probe.stats.lock().shards[k].evicted += evicted.len() as u64;
                         evicted_total += evicted.len() as u64;
                         for old_seq in evicted {
                             self.reply_sender
@@ -474,11 +458,7 @@ impl ShardedEngine {
                         }
                     }
                 }
-                let mut acc = self.stats.lock();
-                for (k, &depth) in depths.iter().enumerate() {
-                    acc.per_shard[k].observe_queue_depth(depth);
-                }
-                acc.submitted += 1;
+                self.count_submit(&depths, &[], |live| live.submitted += 1);
                 IngestReport {
                     seq: Some(seq),
                     evicted: evicted_total,
@@ -512,15 +492,27 @@ impl ShardedEngine {
                 Err(TrySendError::Disconnected(_)) => panic!("shard worker disconnected"),
             }
         }
-        let mut acc = self.stats.lock();
-        for (k, &depth) in depths.iter().enumerate() {
-            acc.per_shard[k].observe_queue_depth(depth);
-        }
-        for (k, wait_ns) in waits {
-            acc.per_shard[k].observe_backpressure_wait(wait_ns);
-        }
-        acc.submitted += 1;
+        self.count_submit(depths, &waits, |live| live.submitted += 1);
         seq
+    }
+
+    /// Accounts one submit under a single lock of the live document:
+    /// the queue depths it saw, the blocked sends it waited out, and
+    /// what became of the snapshot.
+    fn count_submit(
+        &self,
+        depths: &[usize],
+        waits: &[(usize, u64)],
+        outcome: impl FnOnce(&mut ServeStats),
+    ) {
+        let mut live = self.probe.stats.lock();
+        for (shard, &depth) in live.shards.iter_mut().zip(depths) {
+            shard.queue_depths.record(depth as u64);
+        }
+        for &(k, wait_ns) in waits {
+            live.shards[k].backpressure_wait_ns.record(wait_ns);
+        }
+        outcome(&mut live);
     }
 
     /// Takes a consistent checkpoint of the whole engine into `dir`,
@@ -603,8 +595,7 @@ impl ShardedEngine {
 
     /// Current serving statistics (counters plus live queue depths).
     pub fn stats(&self) -> ServeStats {
-        let depths: Vec<usize> = self.shard_senders.iter().map(|tx| tx.len()).collect();
-        self.stats.lock().snapshot(&depths)
+        self.probe.stats()
     }
 
     /// A shareable handle that reads [`ServeStats`] while another thread
@@ -615,17 +606,12 @@ impl ShardedEngine {
     /// depths — receivers do not keep workers alive, so an outstanding
     /// probe never blocks [`ShardedEngine::shutdown`].
     pub fn stats_probe(&self) -> StatsProbe {
-        StatsProbe {
-            stats: Arc::clone(&self.stats),
-            queues: self.shard_stealers.clone(),
-            obs: self.obs.clone(),
-            queue_capacity: self.config.queue_capacity,
-        }
+        self.probe.clone()
     }
 
     /// The engine's observability handles (shared with its threads).
     pub fn obs(&self) -> &PipelineObs {
-        &self.obs
+        &self.probe.obs
     }
 
     /// Stops the engine: lets every shard drain its queue, joins all
@@ -634,18 +620,16 @@ impl ShardedEngine {
     pub fn shutdown(self) -> (Vec<StepReport>, ServeStats) {
         let ShardedEngine {
             shard_senders,
-            shard_stealers,
             reply_sender,
             reports_rx,
-            stats,
+            probe,
             workers,
             aggregator,
-            config,
             ..
         } = self;
         // Disconnect the shard queues; workers drain what is left and
-        // exit, dropping their reply senders.
-        drop(shard_stealers);
+        // exit, dropping their reply senders. (The probe's receiver
+        // clones do not keep a queue connected.)
         drop(shard_senders);
         for worker in workers {
             worker.join().expect("shard worker panicked");
@@ -658,8 +642,8 @@ impl ShardedEngine {
         while let Ok(report) = reports_rx.try_recv() {
             reports.push(report);
         }
-        let stats = stats.lock().snapshot(&vec![0; config.shards]);
-        (reports, stats)
+        // Every queue is drained, so the live depths all read zero.
+        (reports, probe.stats())
     }
 }
 
@@ -667,19 +651,44 @@ impl ShardedEngine {
 /// the engine's owner thread (see [`ShardedEngine::stats_probe`]).
 #[derive(Clone)]
 pub struct StatsProbe {
-    stats: Arc<OrderedMutex<StatsAccumulator>>,
+    stats: Arc<OrderedMutex<ServeStats>>,
     queues: Vec<Receiver<ShardMsg>>,
     obs: PipelineObs,
     queue_capacity: usize,
+    /// The wire-path counters of the listener in front of the engine;
+    /// `None` when snapshots arrive by `submit` alone.
+    pub(crate) net: Option<Arc<OrderedMutex<NetStats>>>,
 }
 
 impl StatsProbe {
-    /// Current serving statistics (counters plus live queue depths).
+    /// Current serving statistics: the counters, live queue depths,
+    /// the flight recorder's overflow count and, behind a listener,
+    /// the wire-path counters. Every stats document the engine, a
+    /// probe or a listener hands out is built here.
     pub fn stats(&self) -> ServeStats {
         let depths: Vec<usize> = self.queues.iter().map(|rx| rx.len()).collect();
-        let mut stats = self.stats.lock().snapshot(&depths);
-        stats.flight_dropped = self.obs.recorder.dropped();
+        // Read before locking: no lock is ever taken under the stats lock.
+        let flight_dropped = self.obs.recorder.dropped();
+        let mut stats = self.stats.lock().snapshot(&depths, flight_dropped);
+        if let Some(net) = &self.net {
+            stats.net = net.lock().clone();
+        }
         stats
+    }
+
+    /// One cumulative burn-rate sample: the counters plus the tracer's
+    /// per-stage histograms. Fed to [`gridwatch_obs::BurnGauges::observe`]
+    /// at scrape cadence; the gauge layer differences consecutive
+    /// samples per window.
+    pub fn burn_sample(&self) -> BurnSample {
+        let stats = self.stats();
+        BurnSample {
+            decode_errors: stats.net.decode_errors,
+            sequence_errors: stats.net.gap_skips,
+            submitted: stats.submitted,
+            sampled_out: stats.sampled_out,
+            stages: self.obs.tracer.snapshot(),
+        }
     }
 
     /// The structural half of the health document: per-shard queue
@@ -849,36 +858,34 @@ fn worker_loop(
 fn aggregator_loop<T: FnMut(Tally)>(
     mut merger: StepMerger<CheckpointError, T>,
     reply_rx: Receiver<ShardReply>,
-    stats: Arc<OrderedMutex<StatsAccumulator>>,
+    stats: Arc<OrderedMutex<ServeStats>>,
     obs: PipelineObs,
 ) {
     while let Ok(msg) = reply_rx.recv() {
         match msg {
             ShardReply::Scores { shard, seq, step } => {
                 {
-                    let mut acc = stats.lock();
-                    acc.per_shard[shard].observe_latency(step.elapsed_ns);
-                    acc.rebuilds += step.rebuilds;
-                    acc.promotions += step.promotions;
-                    acc.demotions += step.demotions;
-                    acc.per_shard[shard].tracked_pairs = step.tracked_pairs;
-                    acc.per_shard[shard].materialized = step.materialized;
-                    acc.per_shard[shard].sketch_bytes = step.sketch_bytes;
+                    let mut live = stats.lock();
+                    live.rebuilds += step.rebuilds;
+                    live.promotions += step.promotions;
+                    live.demotions += step.demotions;
+                    let live = &mut live.shards[shard];
+                    live.observe_latency(step.elapsed_ns);
+                    live.tracked_pairs = step.tracked_pairs;
+                    live.materialized_models = step.materialized;
+                    live.sketch_bytes = step.sketch_bytes;
                 }
                 merger.sketch_promotions += step.promotions;
                 merger.sketch_demotions += step.demotions;
                 // The worker has no exemplar handle; attribute its
                 // measured wall time here, anchored to the receive
                 // instant (start ≈ now − elapsed on this timeline).
-                let slice = obs.exemplar.is_enabled().then(|| {
-                    SpanSlice::sharded(
-                        Stage::Score,
-                        obs.exemplar.now_ns().saturating_sub(step.elapsed_ns),
-                        step.elapsed_ns,
-                        shard as u64,
-                        &format!("shard-{shard}"),
-                    )
-                });
+                let slice = obs.exemplar.ended_now(
+                    Stage::Score,
+                    step.elapsed_ns,
+                    shard as u64,
+                    format_args!("shard-{shard}"),
+                );
                 merger.offer(shard, seq, step.board, step.elapsed_ns, slice.as_slice());
             }
             ShardReply::Dropped { shard, seq } => merger.tombstone(shard, seq),
@@ -1384,6 +1391,48 @@ mod tests {
         for (_, hist) in obs.tracer.snapshot() {
             assert_eq!(hist.count, 0);
         }
+    }
+
+    #[test]
+    fn every_stats_reader_reports_the_flight_ring_overflow() {
+        let snapshot = trained();
+        let trace = trace(24);
+        // A two-slot ring, so a handful of events overflow it.
+        let obs = gridwatch_obs::PipelineObs {
+            recorder: FlightRecorder::new(2),
+            ..Default::default()
+        };
+        let mut engine = ShardedEngine::start_with_obs(
+            snapshot,
+            ServeConfig {
+                shards: 2,
+                queue_capacity: 4,
+                backpressure: BackpressurePolicy::Block,
+                sampling: None,
+            },
+            obs.clone(),
+        );
+        for snap in &trace {
+            engine.submit(snap.clone());
+        }
+        // Every report out means every pipeline event is recorded.
+        for _ in &trace {
+            engine
+                .recv_report_timeout(Duration::from_secs(5))
+                .expect("report within timeout");
+        }
+        for k in 0..8 {
+            obs.recorder.record("test", format_args!("event {k}"));
+        }
+        let dropped = obs.recorder.dropped();
+        assert!(dropped > 0, "the ring must have overflowed");
+        let probe = engine.stats_probe();
+        // One snapshot function behind all three readers: the stats
+        // file (`stats()` / `shutdown()`) and `/metrics` (the probe)
+        // cannot disagree.
+        assert_eq!(engine.stats().flight_dropped, dropped);
+        assert_eq!(probe.stats().flight_dropped, dropped);
+        assert_eq!(engine.shutdown().1.flight_dropped, dropped);
     }
 
     #[test]

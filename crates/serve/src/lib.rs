@@ -40,7 +40,7 @@ pub use coordinator::{
 pub use engine::{ServeConfig, ShardedEngine, StatsProbe};
 pub use history::{score_rows, HistoryDepth, HistorySink};
 pub use ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
-pub use net::{NetConfig, NetMetricsProbe, NetServer};
+pub use net::{NetConfig, NetServer};
 pub use remote::{
     decode_downstream, decode_response, encode_control, encode_response, read_frame, write_frame,
     BoardFrame, Downstream, FabricControl, FabricError, FabricResponse, ShardWorker,
@@ -48,7 +48,7 @@ pub use remote::{
 };
 pub use router::ShardRouter;
 pub use sequence::{Admission, SourceTable, MAX_COUNTED_GAP};
-pub use stats::{burn_sample_from, ConnStats, NetStats, ServeStats, ShardStats};
+pub use stats::{ConnStats, NetStats, ServeStats, ShardStats};
 pub use wire::{
     encode_csv, encode_json, DecodeError, EncodeError, FrameDecoder, WireFrame, WireProtocol,
 };

@@ -24,7 +24,7 @@ use gridwatch_obs::{PipelineObs, SpanSlice, Stage};
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer, RemoteShard};
 
 /// One thing the merger counted. The adapter's sink folds it into its
-/// own stats type (`StatsAccumulator` or `FabricStats`) under that
+/// own stats document (`ServeStats` or `FabricStats`) under that
 /// type's lock, so every board that reaches the merger is classified —
 /// merged, duplicate, replayed or bad — in exactly one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,9 +191,7 @@ where
             tally,
             ..
         } = self;
-        let traced = obs.exemplar.is_enabled();
-        let merge_start = if traced { obs.exemplar.now_ns() } else { 0 };
-        let _merge = obs.tracer.span(Stage::Merge);
+        let merge = obs.span(Stage::Merge);
         let entry = pending
             .entry(seq)
             .or_insert_with(|| PendingStep::new(spare, *shards));
@@ -202,9 +200,7 @@ where
             return;
         }
         obs.tracer.record_ns(Stage::Score, score_ns);
-        if traced {
-            obs.exemplar.record_slices(seq, spans);
-        }
+        obs.exemplar.record_slices(seq, spans);
         // `try_merge`, not `merge`: a mismatched instant or a pair two
         // shards both claim is a violation to count, not a panic.
         let merged = match entry.board.as_mut() {
@@ -220,11 +216,7 @@ where
         } else {
             tally(Tally::Bad);
         }
-        if traced {
-            let dur = obs.exemplar.now_ns().saturating_sub(merge_start);
-            obs.exemplar
-                .record(seq, SpanSlice::new(Stage::Merge, merge_start, dur, label));
-        }
+        merge.finish(seq, label);
     }
 
     /// `shard` will never score `seq`: the ingestion front evicted it
@@ -269,9 +261,7 @@ where
     /// its report.
     fn emit(&mut self, seq: u64, board: Option<ScoreBoard>) {
         let obs = &self.obs;
-        let _report = obs.tracer.span(Stage::Report);
-        let traced = obs.exemplar.is_enabled();
-        let report_start = if traced { obs.exemplar.now_ns() } else { 0 };
+        let report = obs.span(Stage::Report);
         let mut alarmed = false;
         match board {
             Some(board) => {
@@ -304,14 +294,8 @@ where
                     .record("empty-step", format_args!("seq {seq} fully evicted"));
             }
         }
-        if traced {
-            let dur = obs.exemplar.now_ns().saturating_sub(report_start);
-            obs.exemplar.record(
-                seq,
-                SpanSlice::new(Stage::Report, report_start, dur, self.label),
-            );
-            obs.exemplar.finalize(seq, alarmed);
-        }
+        report.finish(seq, self.label);
+        obs.exemplar.finalize(seq, alarmed);
     }
 
     /// Starts collecting shard files for `cut`. A cut still in flight

@@ -168,45 +168,6 @@ fn deliver(
     }
 }
 
-/// Listener-wide wire counters plus the per-connection table, shared
-/// between the accept, connection, and ingest threads.
-#[derive(Debug, Default)]
-struct NetAccumulator {
-    accepted: u64,
-    closed: u64,
-    frames: u64,
-    decode_errors: u64,
-    timeouts: u64,
-    deadline_failures: u64,
-    rejected: u64,
-    dropped: u64,
-    duplicates: u64,
-    out_of_order: u64,
-    gap_skips: u64,
-    checkpoint_failures: u64,
-    connections: Vec<ConnStats>,
-}
-
-impl NetAccumulator {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            accepted: self.accepted,
-            closed: self.closed,
-            frames: self.frames,
-            decode_errors: self.decode_errors,
-            timeouts: self.timeouts,
-            deadline_failures: self.deadline_failures,
-            rejected: self.rejected,
-            dropped: self.dropped,
-            duplicates: self.duplicates,
-            out_of_order: self.out_of_order,
-            gap_skips: self.gap_skips,
-            checkpoint_failures: self.checkpoint_failures,
-            connections: self.connections.clone(),
-        }
-    }
-}
-
 type Shared<T> = Arc<OrderedMutex<T>>;
 
 /// Socket clones + join handles of live connection threads, kept so
@@ -226,12 +187,14 @@ pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    ingest: Option<JoinHandle<(Vec<StepReport>, ServeStats)>>,
+    ingest: Option<JoinHandle<Vec<StepReport>>>,
     conns: Shared<ConnRegistry>,
     frame_tx: Option<Sender<WireFrame>>,
     reports_rx: Receiver<StepReport>,
+    /// The engine's probe, carrying the listener-wide wire counters
+    /// (and per-connection table) the accept, connection and ingest
+    /// threads count into.
     probe: StatsProbe,
-    net: Shared<NetAccumulator>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -292,7 +255,12 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
 
         let engine = ShardedEngine::start_with_obs(snapshot, serve, obs.clone());
-        let probe = engine.stats_probe();
+        let net_acc: Shared<NetStats> = Arc::new(OrderedMutex::new(
+            classes::NET_ACCUMULATOR,
+            NetStats::default(),
+        ));
+        let mut probe = engine.stats_probe();
+        probe.net = Some(Arc::clone(&net_acc));
         let reports_rx = engine.reports_receiver();
         let table = SourceTable::resume(net.reorder_capacity, sources);
 
@@ -305,18 +273,14 @@ impl NetServer {
             classes::NET_CONNS,
             ConnRegistry::default(),
         ));
-        let net_acc: Shared<NetAccumulator> = Arc::new(OrderedMutex::new(
-            classes::NET_ACCUMULATOR,
-            NetAccumulator::default(),
-        ));
 
         let ingest = {
+            let probe = probe.clone();
             let net_acc = Arc::clone(&net_acc);
             let cfg = net.clone();
-            let obs = obs.clone();
             std::thread::Builder::new()
                 .name("gw-net-ingest".to_string())
-                .spawn(move || ingest_loop(engine, table, frame_rx, net_acc, cfg, obs))?
+                .spawn(move || ingest_loop(engine, table, frame_rx, probe, net_acc, cfg))?
         };
 
         let accept = {
@@ -364,7 +328,6 @@ impl NetServer {
             frame_tx: Some(frame_tx),
             reports_rx,
             probe,
-            net: net_acc,
         })
     }
 
@@ -385,9 +348,7 @@ impl NetServer {
 
     /// Current serving statistics, wire-path counters included.
     pub fn stats(&self) -> ServeStats {
-        let mut stats = self.probe.stats();
-        stats.net = self.net.lock().snapshot();
-        stats
+        self.probe.stats()
     }
 
     /// The listener's observability handles (shared with its threads).
@@ -396,13 +357,10 @@ impl NetServer {
     }
 
     /// A detachable handle serving live scrapes of this listener:
-    /// engine counters, wire counters, and stage spans as Prometheus
-    /// exposition text.
-    pub fn metrics_probe(&self) -> NetMetricsProbe {
-        NetMetricsProbe {
-            probe: self.probe.clone(),
-            net: Arc::clone(&self.net),
-        }
+    /// engine counters, wire counters, and stage spans. Holding one
+    /// never blocks shutdown.
+    pub fn metrics_probe(&self) -> StatsProbe {
+        self.probe.clone()
     }
 
     /// Stops the listener gracefully: stops accepting, unblocks and
@@ -441,17 +399,17 @@ impl NetServer {
         // Ours is the last frame sender: dropping it lets the ingest
         // thread finish draining, checkpoint, and stop the engine.
         drop(self.frame_tx.take());
-        let (mut reports, mut stats) = match self.ingest.take().map(JoinHandle::join) {
+        let mut reports = match self.ingest.take().map(JoinHandle::join) {
             Some(Ok(drained)) => drained,
             // A dead ingest thread (or a double shutdown, which the
             // consuming receiver makes impossible) still yields the
-            // engine-side stats the probe has been accumulating.
+            // stats the probe has been accumulating.
             Some(Err(_)) | None => {
                 gridwatch_obs::error!(
                     "net",
                     "gridwatch-serve: ingest thread panicked; reporting partial stats"
                 );
-                (Vec::new(), self.probe.stats())
+                Vec::new()
             }
         };
         // Anything the engine left on the report channel that the
@@ -459,49 +417,8 @@ impl NetServer {
         while let Ok(report) = self.reports_rx.try_recv() {
             reports.push(report);
         }
-        stats.net = self.net.lock().snapshot();
-        (reports, stats)
-    }
-}
-
-/// A read-only scrape handle over a running [`NetServer`]: live engine
-/// counters plus wire counters, renderable as Prometheus exposition
-/// text. Detachable — holding one never blocks shutdown.
-#[derive(Clone)]
-pub struct NetMetricsProbe {
-    probe: StatsProbe,
-    net: Shared<NetAccumulator>,
-}
-
-impl std::fmt::Debug for NetMetricsProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NetMetricsProbe")
-    }
-}
-
-impl NetMetricsProbe {
-    /// Current serving statistics, wire-path counters included.
-    pub fn stats(&self) -> ServeStats {
-        let mut stats = self.probe.stats();
-        stats.net = self.net.lock().snapshot();
-        stats
-    }
-
-    /// The current stats plus stage spans as Prometheus exposition
-    /// text — what a `GET /metrics` scrape of this listener returns.
-    pub fn to_prometheus(&self) -> String {
-        self.stats().to_prometheus(&self.probe.obs().tracer)
-    }
-
-    /// The listener's observability handles (shared, not a copy).
-    pub fn obs(&self) -> &PipelineObs {
-        self.probe.obs()
-    }
-
-    /// The structural half of the `/healthz` document (see
-    /// [`StatsProbe::health_report`]).
-    pub fn health_report(&self) -> gridwatch_obs::HealthReport {
-        self.probe.health_report()
+        // Every thread that counts is joined: this is the final document.
+        (reports, self.probe.stats())
     }
 }
 
@@ -512,7 +429,7 @@ fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     conns: Shared<ConnRegistry>,
-    net_acc: Shared<NetAccumulator>,
+    net_acc: Shared<NetStats>,
     tx: Sender<WireFrame>,
     stealer: Receiver<WireFrame>,
     policy: BackpressurePolicy,
@@ -594,7 +511,7 @@ fn accept_loop(
 fn conn_loop(
     conn: usize,
     mut stream: TcpStream,
-    net_acc: Shared<NetAccumulator>,
+    net_acc: Shared<NetStats>,
     tx: Sender<WireFrame>,
     stealer: Receiver<WireFrame>,
     policy: BackpressurePolicy,
@@ -626,7 +543,7 @@ fn conn_loop(
     'read: loop {
         // The Ingest span covers the blocking read: time-to-bytes as
         // seen from the server, socket wait included.
-        let ingest = obs.tracer.span(Stage::Ingest);
+        let ingest = obs.span(Stage::Ingest);
         let read = stream.read(&mut buf);
         drop(ingest);
         match read {
@@ -649,7 +566,7 @@ fn conn_loop(
                     // Span each `next_frame` slice separately so the
                     // Decode distribution never absorbs the blocking
                     // `deliver` below.
-                    let decode = obs.tracer.span(Stage::Decode);
+                    let decode = obs.span(Stage::Decode);
                     let next = decoder.next_frame();
                     drop(decode);
                     match next {
@@ -731,23 +648,20 @@ fn ingest_loop(
     mut engine: ShardedEngine,
     mut table: SourceTable,
     frame_rx: Receiver<WireFrame>,
-    net_acc: Shared<NetAccumulator>,
+    probe: StatsProbe,
+    net_acc: Shared<NetStats>,
     cfg: NetConfig,
-    obs: PipelineObs,
-) -> (Vec<StepReport>, ServeStats) {
+) -> Vec<StepReport> {
+    let obs = probe.obs();
     let mut since_checkpoint = 0u64;
     while let Ok(frame) = frame_rx.recv() {
         let source = frame.source.clone();
-        let traced = obs.exemplar.is_enabled();
-        let seq_start = if traced { obs.exemplar.now_ns() } else { 0 };
-        let sequence = obs.tracer.span(Stage::Sequence);
+        let sequence = obs.span(Stage::Sequence);
         let admission = table.admit(&frame.source, frame.seq, frame.snapshot);
-        drop(sequence);
-        let seq_ns = if traced {
-            obs.exemplar.now_ns().saturating_sub(seq_start)
-        } else {
-            0
-        };
+        // The Sequence slice is shared by every snapshot this admission
+        // releases (one reorder resolution can free a whole buffered
+        // run).
+        let sequence = sequence.into_slice("ingest");
         let ready = match admission {
             Admission::Ready(snaps) => snaps,
             Admission::Buffered => {
@@ -773,26 +687,17 @@ fn ingest_loop(
         };
         table.check_window_bound();
         for snap in ready {
-            if traced {
-                // The Sequence slice is shared by every snapshot this
-                // admission released (one reorder resolution can free a
-                // whole buffered run).
-                let slice =
-                    gridwatch_obs::SpanSlice::new(Stage::Sequence, seq_start, seq_ns, "ingest");
-                engine.submit_traced(snap, &source, std::slice::from_ref(&slice));
-            } else {
-                engine.submit(snap);
-            }
+            engine.submit_traced(snap, &source, sequence.as_slice());
             since_checkpoint += 1;
         }
         if cfg.checkpoint_every > 0 && since_checkpoint >= cfg.checkpoint_every {
             since_checkpoint = 0;
-            run_checkpoint(&mut engine, &table, &net_acc, &cfg, &obs);
+            run_checkpoint(&mut engine, &table, &probe, &net_acc, &cfg);
         }
     }
     // Every sender is gone: the stream is drained. Take the final cut.
-    run_checkpoint(&mut engine, &table, &net_acc, &cfg, &obs);
-    engine.shutdown()
+    run_checkpoint(&mut engine, &table, &probe, &net_acc, &cfg);
+    engine.shutdown().0
 }
 
 /// One periodic (or final) checkpoint plus the stats-file flush. Both
@@ -800,22 +705,22 @@ fn ingest_loop(
 fn run_checkpoint(
     engine: &mut ShardedEngine,
     table: &SourceTable,
-    net_acc: &Shared<NetAccumulator>,
+    probe: &StatsProbe,
+    net_acc: &Shared<NetStats>,
     cfg: &NetConfig,
-    obs: &PipelineObs,
 ) {
     if let Some(dir) = &cfg.checkpoint_dir {
         if let Err(e) = engine.checkpoint_with_sources(dir, table.progress()) {
             gridwatch_obs::error!("net", "gridwatch-serve: checkpoint failed: {e}");
-            obs.recorder
+            probe
+                .obs()
+                .recorder
                 .record("checkpoint-failure", format_args!("{e}"));
             net_acc.lock().checkpoint_failures += 1;
         }
     }
     if let Some(path) = &cfg.stats_path {
-        let mut stats = engine.stats();
-        stats.net = net_acc.lock().snapshot();
-        let _ = write_atomic(path, &stats.to_json());
+        let _ = write_atomic(path, &probe.stats().to_json());
     }
 }
 

@@ -40,7 +40,7 @@ use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{EngineSnapshot, ScoreBoard};
-use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
+use gridwatch_obs::{ExemplarConfig, Exposition, Metric, PipelineObs, SpanSlice, Stage};
 
 use crate::checkpoint::CheckpointError;
 use crate::engine::{score_step, shard_engine, ScoredStep};
@@ -336,6 +336,40 @@ pub struct WorkerSummary {
     pub protocol_errors: u64,
 }
 
+/// A worker's `/metrics` document, in scrape order.
+pub(crate) const WORKER_METRICS: &[Metric<WorkerSummary>] = &[
+    (
+        "gridwatch_worker_sessions_total",
+        "counter",
+        "Coordinator sessions served",
+        |s| s.sessions,
+    ),
+    (
+        "gridwatch_worker_snapshots_total",
+        "counter",
+        "Snapshot frames scored",
+        |s| s.snapshots,
+    ),
+    (
+        "gridwatch_worker_boards_total",
+        "counter",
+        "Board frames sent upstream",
+        |s| s.boards,
+    ),
+    (
+        "gridwatch_worker_checkpoints_total",
+        "counter",
+        "Checkpoint markers answered",
+        |s| s.checkpoints,
+    ),
+    (
+        "gridwatch_worker_protocol_errors_total",
+        "counter",
+        "Sessions dropped for protocol violations",
+        |s| s.protocol_errors,
+    ),
+];
+
 /// How one coordinator session ended.
 enum SessionEnd {
     /// The coordinator closed the connection; await the next session.
@@ -373,43 +407,9 @@ impl WorkerMetricsProbe {
 
     /// Renders the worker's counters and any recorded stage timings.
     pub fn to_prometheus(&self) -> String {
-        let s = self.summary();
         let mut expo = Exposition::new();
-        expo.header(
-            "gridwatch_worker_sessions_total",
-            "counter",
-            "Coordinator sessions served",
-        );
-        expo.sample("gridwatch_worker_sessions_total", &[], s.sessions);
-        expo.header(
-            "gridwatch_worker_snapshots_total",
-            "counter",
-            "Snapshot frames scored",
-        );
-        expo.sample("gridwatch_worker_snapshots_total", &[], s.snapshots);
-        expo.header(
-            "gridwatch_worker_boards_total",
-            "counter",
-            "Board frames sent upstream",
-        );
-        expo.sample("gridwatch_worker_boards_total", &[], s.boards);
-        expo.header(
-            "gridwatch_worker_checkpoints_total",
-            "counter",
-            "Checkpoint markers answered",
-        );
-        expo.sample("gridwatch_worker_checkpoints_total", &[], s.checkpoints);
-        expo.header(
-            "gridwatch_worker_protocol_errors_total",
-            "counter",
-            "Sessions dropped for protocol violations",
-        );
-        expo.sample(
-            "gridwatch_worker_protocol_errors_total",
-            &[],
-            s.protocol_errors,
-        );
-        crate::stats::render_stage_spans(&mut expo, &self.obs.tracer);
+        expo.scalars(WORKER_METRICS, &[(None, &self.summary())]);
+        self.obs.tracer.render_into(&mut expo);
         expo.finish()
     }
 }
@@ -568,13 +568,12 @@ fn session_loop(
     summary: &OrderedMutex<WorkerSummary>,
     obs: &PipelineObs,
 ) -> Result<SessionEnd, FabricError> {
-    let tracer = obs.tracer.clone();
     // Handshake: the first frame must be a Hello (or a Shutdown aimed
     // at an idle worker).
     let Some(payload) = read_frame(&mut stream).map_err(io_ctx("handshake read"))? else {
         return Ok(SessionEnd::Eof);
     };
-    let (shard, epoch, ship_spans, mut engine) = match decode_downstream(&payload)? {
+    let (shard, epoch, mut engine) = match decode_downstream(&payload)? {
         Downstream::Control(FabricControl::Hello {
             shard,
             shards: _,
@@ -585,9 +584,15 @@ fn session_loop(
         }) => {
             // Span context propagates across the wire as a Hello
             // extension: a tracing coordinator turns on the worker's
-            // tracer for the whole process (enable is sticky).
+            // tracer, and one capturing exemplars its slice capture,
+            // for the whole process (both enables are sticky). The
+            // worker retains no trace itself — it never opens one — so
+            // the sampling rules stay at their inert defaults.
             if trace {
-                tracer.enable();
+                obs.tracer.enable();
+            }
+            if exemplar {
+                obs.exemplar.enable(ExemplarConfig::default());
             }
             // The same engine the in-process shards score with: serial,
             // and sharing this worker's flight recorder so rebuild and
@@ -599,7 +604,7 @@ fn session_loop(
                 pairs: engine.model_count(),
             })?;
             write_frame(&mut stream, &ack).map_err(io_ctx("handshake ack"))?;
-            (shard, epoch, exemplar, engine)
+            (shard, epoch, engine)
         }
         Downstream::Control(FabricControl::Shutdown) => return Ok(SessionEnd::Shutdown),
         Downstream::Control(_) => {
@@ -616,32 +621,17 @@ fn session_loop(
 
     let worker_name = format!("worker-{shard}");
     loop {
-        // Slice timings use the exemplar clock even when this worker
-        // retains nothing itself: the slices ship upstream where the
-        // coordinator's exemplar layer decides what to keep.
-        let read_start = if ship_spans { obs.exemplar.now_ns() } else { 0 };
-        let read = {
-            let _ingest = tracer.span(Stage::Ingest);
-            read_frame(&mut stream).map_err(io_ctx("session read"))?
-        };
-        let read_ns = if ship_spans {
-            obs.exemplar.now_ns().saturating_sub(read_start)
-        } else {
-            0
-        };
+        // The slices ship upstream, where the coordinator's exemplar
+        // layer decides what to keep.
+        let ingest = obs.span(Stage::Ingest);
+        let read = read_frame(&mut stream).map_err(io_ctx("session read"))?;
+        let ingest = ingest.into_slice(&worker_name);
         let Some(payload) = read else {
             return Ok(SessionEnd::Eof);
         };
-        let decode_start = if ship_spans { obs.exemplar.now_ns() } else { 0 };
-        let decoded = {
-            let _decode = tracer.span(Stage::Decode);
-            decode_downstream(&payload)?
-        };
-        let decode_ns = if ship_spans {
-            obs.exemplar.now_ns().saturating_sub(decode_start)
-        } else {
-            0
-        };
+        let decode = obs.span(Stage::Decode);
+        let decoded = decode_downstream(&payload)?;
+        let decode = decode.into_slice(&worker_name);
         match decoded {
             Downstream::Snapshot(frame) => {
                 summary.lock().snapshots += 1;
@@ -655,23 +645,11 @@ fn session_loop(
                     elapsed_ns: score_ns,
                     ..
                 } = score_step(&mut engine, &frame.snapshot);
-                tracer.record_ns(Stage::Score, score_ns);
-                let spans = if ship_spans {
-                    let score_end = obs.exemplar.now_ns();
-                    vec![
-                        SpanSlice::new(Stage::Ingest, read_start, read_ns, &worker_name),
-                        SpanSlice::new(Stage::Decode, decode_start, decode_ns, &worker_name),
-                        SpanSlice::sharded(
-                            Stage::Score,
-                            score_end.saturating_sub(score_ns),
-                            score_ns,
-                            shard as u64,
-                            &worker_name,
-                        ),
-                    ]
-                } else {
-                    Vec::new()
-                };
+                obs.tracer.record_ns(Stage::Score, score_ns);
+                let score =
+                    obs.exemplar
+                        .ended_now(Stage::Score, score_ns, shard as u64, &worker_name);
+                let spans = [ingest, decode, score].into_iter().flatten().collect();
                 let response = encode_response(&FabricResponse::Board(BoardFrame {
                     shard,
                     epoch,

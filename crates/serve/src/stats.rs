@@ -8,7 +8,7 @@
 //! must keep parsing after a field is added. The audit serde-default
 //! lint (`CHECKPOINTED_STRUCTS`) enforces this for new fields.
 
-use gridwatch_obs::{Exposition, LogHistogram, Tracer};
+use gridwatch_obs::{Exposition, HistogramMetric, Labelled, LogHistogram, Metric, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// Counters and distributions for one shard.
@@ -193,7 +193,235 @@ pub struct ServeStats {
     pub net: NetStats,
 }
 
+/// The engine-wide counters of the `/metrics` document, in scrape
+/// order. Renaming a row is a deliberate act: the format is pinned by a
+/// golden test (and scraped by dashboards).
+const SERVE_METRICS: &[Metric<ServeStats>] = &[
+    (
+        "gridwatch_submitted_total",
+        "counter",
+        "Snapshots accepted at the ingestion front.",
+        |s| s.submitted,
+    ),
+    (
+        "gridwatch_rejected_total",
+        "counter",
+        "Snapshots refused under the Reject backpressure policy.",
+        |s| s.rejected,
+    ),
+    (
+        "gridwatch_reports_total",
+        "counter",
+        "Merged step reports emitted.",
+        |s| s.reports,
+    ),
+    (
+        "gridwatch_empty_steps_total",
+        "counter",
+        "Instants skipped because every shard evicted them.",
+        |s| s.empty_steps,
+    ),
+    (
+        "gridwatch_alarms_total",
+        "counter",
+        "Alarm events fired by the merged-board tracker.",
+        |s| s.alarms,
+    ),
+    (
+        "gridwatch_checkpoints_total",
+        "counter",
+        "Checkpoints completed.",
+        |s| s.checkpoints,
+    ),
+    (
+        "gridwatch_sampled_out_total",
+        "counter",
+        "Snapshots shed by overload sampling before reaching any queue.",
+        |s| s.sampled_out,
+    ),
+    (
+        "gridwatch_rebuilds_total",
+        "counter",
+        "Pair-model rebuilds fired by the shards' drift layers.",
+        |s| s.rebuilds,
+    ),
+    (
+        "gridwatch_promotions_total",
+        "counter",
+        "Sketch-layer promotions that materialized a pair model.",
+        |s| s.promotions,
+    ),
+    (
+        "gridwatch_demotions_total",
+        "counter",
+        "Sketch-layer demotions that retired a pair model.",
+        |s| s.demotions,
+    ),
+    (
+        "gridwatch_flight_dropped_total",
+        "counter",
+        "Flight-recorder events overwritten before they could be drained.",
+        |s| s.flight_dropped,
+    ),
+];
+
+/// The per-shard scalars, each rendered once per shard under a
+/// `shard` label.
+const SHARD_METRICS: &[Metric<ShardStats>] = &[
+    (
+        "gridwatch_shard_pairs",
+        "gauge",
+        "Pair models owned by each shard.",
+        |s| s.pairs as u64,
+    ),
+    (
+        "gridwatch_shard_tracked_pairs",
+        "gauge",
+        "Pairs under sketch tracking on each shard (candidates + models).",
+        |s| s.tracked_pairs as u64,
+    ),
+    (
+        "gridwatch_shard_materialized_models",
+        "gauge",
+        "Pair models currently materialized on each shard.",
+        |s| s.materialized_models as u64,
+    ),
+    (
+        "gridwatch_shard_sketch_bytes",
+        "gauge",
+        "Approximate heap bytes held by each shard's measurement sketches.",
+        |s| s.sketch_bytes as u64,
+    ),
+    (
+        "gridwatch_shard_processed_total",
+        "counter",
+        "Snapshots scored by each shard.",
+        |s| s.processed,
+    ),
+    (
+        "gridwatch_shard_evicted_total",
+        "counter",
+        "Snapshots evicted from each shard's queue under DropOldest.",
+        |s| s.evicted,
+    ),
+    (
+        "gridwatch_shard_queue_depth",
+        "gauge",
+        "Messages currently waiting in each shard's queue.",
+        |s| s.queue_depth as u64,
+    ),
+];
+
+/// The per-shard distributions.
+const SHARD_HISTOGRAMS: &[HistogramMetric<ShardStats>] = &[
+    (
+        "gridwatch_shard_step_latency_ns",
+        "Per-shard step_scores latency in nanoseconds.",
+        |s| &s.latency,
+    ),
+    (
+        "gridwatch_shard_queue_depth_samples",
+        "Queue depth observed at each submit, per shard.",
+        |s| &s.queue_depths,
+    ),
+    (
+        "gridwatch_shard_backpressure_wait_ns",
+        "Nanoseconds the ingestion front blocked on each shard's full queue.",
+        |s| &s.backpressure_wait_ns,
+    ),
+];
+
+/// The wire-path counters (a subset of [`NetStats`]: the rest is in
+/// the JSON dump only).
+const NET_METRICS: &[Metric<NetStats>] = &[
+    (
+        "gridwatch_net_frames_total",
+        "counter",
+        "Frames decoded across all connections.",
+        |n| n.frames,
+    ),
+    (
+        "gridwatch_net_decode_errors_total",
+        "counter",
+        "Decode failures across all connections.",
+        |n| n.decode_errors,
+    ),
+    (
+        "gridwatch_net_timeouts_total",
+        "counter",
+        "Read-deadline kills across all connections.",
+        |n| n.timeouts,
+    ),
+    (
+        "gridwatch_net_connections_accepted_total",
+        "counter",
+        "Connections accepted.",
+        |n| n.accepted,
+    ),
+    (
+        "gridwatch_net_connections_open",
+        "gauge",
+        "Connections currently open.",
+        |n| n.accepted.saturating_sub(n.closed),
+    ),
+    (
+        "gridwatch_net_duplicates_total",
+        "counter",
+        "Frames absorbed as duplicates.",
+        |n| n.duplicates,
+    ),
+    (
+        "gridwatch_net_gap_skips_total",
+        "counter",
+        "Sequence numbers abandoned to reorder-window overflow.",
+        |n| n.gap_skips,
+    ),
+];
+
+impl ShardStats {
+    /// One scored snapshot that took `elapsed_ns`.
+    pub(crate) fn observe_latency(&mut self, elapsed_ns: u64) {
+        self.processed += 1;
+        self.latency.record(elapsed_ns);
+    }
+}
+
 impl ServeStats {
+    /// The live document an engine with `shards` shards counts into,
+    /// shared between its ingestion front and its aggregator thread.
+    /// Readers take a [`ServeStats::snapshot`], never the live document:
+    /// `queue_depth`, `coverage_fraction`, `flight_dropped` and `net`
+    /// are only filled in there.
+    pub(crate) fn new(shards: usize) -> Self {
+        ServeStats {
+            shards: (0..shards)
+                .map(|shard| ShardStats {
+                    shard,
+                    ..ShardStats::default()
+                })
+                .collect(),
+            ..ServeStats::default()
+        }
+    }
+
+    /// A reader's copy of the live document: the counters, plus the
+    /// per-shard queue lengths right now, the sampler's coverage so
+    /// far, and the flight recorder's overflow count.
+    pub(crate) fn snapshot(&self, queue_depths: &[usize], flight_dropped: u64) -> ServeStats {
+        let mut stats = self.clone();
+        for (shard, &depth) in stats.shards.iter_mut().zip(queue_depths) {
+            shard.queue_depth = depth;
+        }
+        let offered = stats.submitted + stats.sampled_out;
+        stats.coverage_fraction = if offered == 0 {
+            1.0
+        } else {
+            stats.submitted as f64 / offered as f64
+        };
+        stats.flight_dropped = flight_dropped;
+        stats
+    }
+
     /// The stats as a JSON document. Plain-old-data cannot fail to
     /// serialize, but a stats report is never worth a panic either way.
     pub fn to_json(&self) -> String {
@@ -208,400 +436,21 @@ impl ServeStats {
 
     /// Renders the stats — plus the tracer's per-stage span
     /// histograms, when it has recorded anything — as Prometheus text
-    /// exposition v0. The format is pinned by a golden test; renaming
-    /// a metric is a deliberate act that must update it (and any
-    /// dashboards scraping the endpoint).
+    /// exposition v0.
     pub fn to_prometheus(&self, tracer: &Tracer) -> String {
+        let names: Vec<String> = self.shards.iter().map(|s| s.shard.to_string()).collect();
+        let shards: Vec<Labelled<'_, ShardStats>> = names
+            .iter()
+            .zip(&self.shards)
+            .map(|(name, shard)| (Some(("shard", name.as_str())), shard))
+            .collect();
         let mut expo = Exposition::new();
-        expo.header(
-            "gridwatch_submitted_total",
-            "counter",
-            "Snapshots accepted at the ingestion front.",
-        );
-        expo.sample("gridwatch_submitted_total", &[], self.submitted);
-        expo.header(
-            "gridwatch_rejected_total",
-            "counter",
-            "Snapshots refused under the Reject backpressure policy.",
-        );
-        expo.sample("gridwatch_rejected_total", &[], self.rejected);
-        expo.header(
-            "gridwatch_reports_total",
-            "counter",
-            "Merged step reports emitted.",
-        );
-        expo.sample("gridwatch_reports_total", &[], self.reports);
-        expo.header(
-            "gridwatch_empty_steps_total",
-            "counter",
-            "Instants skipped because every shard evicted them.",
-        );
-        expo.sample("gridwatch_empty_steps_total", &[], self.empty_steps);
-        expo.header(
-            "gridwatch_alarms_total",
-            "counter",
-            "Alarm events fired by the merged-board tracker.",
-        );
-        expo.sample("gridwatch_alarms_total", &[], self.alarms);
-        expo.header(
-            "gridwatch_checkpoints_total",
-            "counter",
-            "Checkpoints completed.",
-        );
-        expo.sample("gridwatch_checkpoints_total", &[], self.checkpoints);
-        expo.header(
-            "gridwatch_sampled_out_total",
-            "counter",
-            "Snapshots shed by overload sampling before reaching any queue.",
-        );
-        expo.sample("gridwatch_sampled_out_total", &[], self.sampled_out);
-        expo.header(
-            "gridwatch_rebuilds_total",
-            "counter",
-            "Pair-model rebuilds fired by the shards' drift layers.",
-        );
-        expo.sample("gridwatch_rebuilds_total", &[], self.rebuilds);
-        expo.header(
-            "gridwatch_promotions_total",
-            "counter",
-            "Sketch-layer promotions that materialized a pair model.",
-        );
-        expo.sample("gridwatch_promotions_total", &[], self.promotions);
-        expo.header(
-            "gridwatch_demotions_total",
-            "counter",
-            "Sketch-layer demotions that retired a pair model.",
-        );
-        expo.sample("gridwatch_demotions_total", &[], self.demotions);
-        expo.header(
-            "gridwatch_flight_dropped_total",
-            "counter",
-            "Flight-recorder events overwritten before they could be drained.",
-        );
-        expo.sample("gridwatch_flight_dropped_total", &[], self.flight_dropped);
-
-        expo.header(
-            "gridwatch_shard_pairs",
-            "gauge",
-            "Pair models owned by each shard.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_pairs",
-                &[("shard", &label)],
-                shard.pairs as u64,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_tracked_pairs",
-            "gauge",
-            "Pairs under sketch tracking on each shard (candidates + models).",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_tracked_pairs",
-                &[("shard", &label)],
-                shard.tracked_pairs as u64,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_materialized_models",
-            "gauge",
-            "Pair models currently materialized on each shard.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_materialized_models",
-                &[("shard", &label)],
-                shard.materialized_models as u64,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_sketch_bytes",
-            "gauge",
-            "Approximate heap bytes held by each shard's measurement sketches.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_sketch_bytes",
-                &[("shard", &label)],
-                shard.sketch_bytes as u64,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_processed_total",
-            "counter",
-            "Snapshots scored by each shard.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_processed_total",
-                &[("shard", &label)],
-                shard.processed,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_evicted_total",
-            "counter",
-            "Snapshots evicted from each shard's queue under DropOldest.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_evicted_total",
-                &[("shard", &label)],
-                shard.evicted,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_queue_depth",
-            "gauge",
-            "Messages currently waiting in each shard's queue.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.sample(
-                "gridwatch_shard_queue_depth",
-                &[("shard", &label)],
-                shard.queue_depth as u64,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_step_latency_ns",
-            "histogram",
-            "Per-shard step_scores latency in nanoseconds.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.histogram(
-                "gridwatch_shard_step_latency_ns",
-                &[("shard", &label)],
-                &shard.latency,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_queue_depth_samples",
-            "histogram",
-            "Queue depth observed at each submit, per shard.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.histogram(
-                "gridwatch_shard_queue_depth_samples",
-                &[("shard", &label)],
-                &shard.queue_depths,
-            );
-        }
-        expo.header(
-            "gridwatch_shard_backpressure_wait_ns",
-            "histogram",
-            "Nanoseconds the ingestion front blocked on each shard's full queue.",
-        );
-        for shard in &self.shards {
-            let label = shard.shard.to_string();
-            expo.histogram(
-                "gridwatch_shard_backpressure_wait_ns",
-                &[("shard", &label)],
-                &shard.backpressure_wait_ns,
-            );
-        }
-
-        expo.header(
-            "gridwatch_net_frames_total",
-            "counter",
-            "Frames decoded across all connections.",
-        );
-        expo.sample("gridwatch_net_frames_total", &[], self.net.frames);
-        expo.header(
-            "gridwatch_net_decode_errors_total",
-            "counter",
-            "Decode failures across all connections.",
-        );
-        expo.sample(
-            "gridwatch_net_decode_errors_total",
-            &[],
-            self.net.decode_errors,
-        );
-        expo.header(
-            "gridwatch_net_timeouts_total",
-            "counter",
-            "Read-deadline kills across all connections.",
-        );
-        expo.sample("gridwatch_net_timeouts_total", &[], self.net.timeouts);
-        expo.header(
-            "gridwatch_net_connections_accepted_total",
-            "counter",
-            "Connections accepted.",
-        );
-        expo.sample(
-            "gridwatch_net_connections_accepted_total",
-            &[],
-            self.net.accepted,
-        );
-        expo.header(
-            "gridwatch_net_connections_open",
-            "gauge",
-            "Connections currently open.",
-        );
-        expo.sample(
-            "gridwatch_net_connections_open",
-            &[],
-            self.net.accepted.saturating_sub(self.net.closed),
-        );
-        expo.header(
-            "gridwatch_net_duplicates_total",
-            "counter",
-            "Frames absorbed as duplicates.",
-        );
-        expo.sample("gridwatch_net_duplicates_total", &[], self.net.duplicates);
-        expo.header(
-            "gridwatch_net_gap_skips_total",
-            "counter",
-            "Sequence numbers abandoned to reorder-window overflow.",
-        );
-        expo.sample("gridwatch_net_gap_skips_total", &[], self.net.gap_skips);
-
-        render_stage_spans(&mut expo, tracer);
+        expo.scalars(SERVE_METRICS, &[(None, self)]);
+        expo.scalars(SHARD_METRICS, &shards);
+        expo.histograms(SHARD_HISTOGRAMS, &shards);
+        expo.scalars(NET_METRICS, &[(None, &self.net)]);
+        tracer.render_into(&mut expo);
         expo.finish()
-    }
-}
-
-/// Appends the tracer's per-stage span histograms (skipped entirely
-/// when no stage has recorded — a disabled tracer adds nothing to the
-/// exposition).
-pub(crate) fn render_stage_spans(expo: &mut Exposition, tracer: &Tracer) {
-    let stages = tracer.snapshot();
-    if stages.iter().all(|(_, hist)| hist.count == 0) {
-        return;
-    }
-    expo.header(
-        "gridwatch_stage_ns",
-        "histogram",
-        "Span timing of each pipeline stage in nanoseconds.",
-    );
-    for (stage, hist) in &stages {
-        if hist.count == 0 {
-            continue;
-        }
-        expo.histogram("gridwatch_stage_ns", &[("stage", stage.name())], hist);
-    }
-}
-
-/// Builds one cumulative burn-rate sample from a stats snapshot plus
-/// the tracer's per-stage histograms. Fed to
-/// [`gridwatch_obs::BurnGauges::observe`] at scrape cadence; the gauge
-/// layer differences consecutive samples per window.
-pub fn burn_sample_from(stats: &ServeStats, tracer: &Tracer) -> gridwatch_obs::BurnSample {
-    gridwatch_obs::BurnSample {
-        decode_errors: stats.net.decode_errors,
-        sequence_errors: stats.net.gap_skips,
-        submitted: stats.submitted,
-        sampled_out: stats.sampled_out,
-        stages: tracer.snapshot().into_iter().map(|(_, h)| h).collect(),
-    }
-}
-
-/// Mutable accumulator shared between the ingestion front and the
-/// aggregator thread.
-#[derive(Debug, Default)]
-pub(crate) struct StatsAccumulator {
-    pub(crate) per_shard: Vec<ShardAccumulator>,
-    pub(crate) submitted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) reports: u64,
-    pub(crate) empty_steps: u64,
-    pub(crate) alarms: u64,
-    pub(crate) checkpoints: u64,
-    pub(crate) sampled_out: u64,
-    pub(crate) rebuilds: u64,
-    pub(crate) promotions: u64,
-    pub(crate) demotions: u64,
-}
-
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShardAccumulator {
-    pub(crate) pairs: usize,
-    pub(crate) processed: u64,
-    pub(crate) evicted: u64,
-    pub(crate) latency: LogHistogram,
-    pub(crate) queue_depths: LogHistogram,
-    pub(crate) backpressure_wait_ns: LogHistogram,
-    pub(crate) tracked_pairs: usize,
-    pub(crate) materialized: usize,
-    pub(crate) sketch_bytes: usize,
-}
-
-impl ShardAccumulator {
-    pub(crate) fn observe_latency(&mut self, elapsed_ns: u64) {
-        self.processed += 1;
-        self.latency.record(elapsed_ns);
-    }
-
-    pub(crate) fn observe_queue_depth(&mut self, depth: usize) {
-        self.queue_depths.record(depth as u64);
-    }
-
-    pub(crate) fn observe_backpressure_wait(&mut self, wait_ns: u64) {
-        self.backpressure_wait_ns.record(wait_ns);
-    }
-}
-
-impl StatsAccumulator {
-    pub(crate) fn new(shards: usize) -> Self {
-        StatsAccumulator {
-            per_shard: vec![ShardAccumulator::default(); shards],
-            ..StatsAccumulator::default()
-        }
-    }
-
-    /// Snapshots the counters; `queue_depths` supplies the live per-shard
-    /// queue lengths.
-    pub(crate) fn snapshot(&self, queue_depths: &[usize]) -> ServeStats {
-        ServeStats {
-            shards: self
-                .per_shard
-                .iter()
-                .enumerate()
-                .map(|(k, acc)| ShardStats {
-                    shard: k,
-                    pairs: acc.pairs,
-                    processed: acc.processed,
-                    evicted: acc.evicted,
-                    queue_depth: queue_depths.get(k).copied().unwrap_or(0),
-                    latency: acc.latency.clone(),
-                    queue_depths: acc.queue_depths.clone(),
-                    backpressure_wait_ns: acc.backpressure_wait_ns.clone(),
-                    tracked_pairs: acc.tracked_pairs,
-                    materialized_models: acc.materialized,
-                    sketch_bytes: acc.sketch_bytes,
-                })
-                .collect(),
-            submitted: self.submitted,
-            rejected: self.rejected,
-            reports: self.reports,
-            empty_steps: self.empty_steps,
-            alarms: self.alarms,
-            checkpoints: self.checkpoints,
-            sampled_out: self.sampled_out,
-            coverage_fraction: {
-                let offered = self.submitted + self.sampled_out;
-                if offered == 0 {
-                    1.0
-                } else {
-                    self.submitted as f64 / offered as f64
-                }
-            },
-            rebuilds: self.rebuilds,
-            promotions: self.promotions,
-            demotions: self.demotions,
-            flight_dropped: 0,
-            net: NetStats::default(),
-        }
     }
 }
 
@@ -612,15 +461,11 @@ mod tests {
 
     #[test]
     fn latency_histogram_tracks_distribution() {
-        let mut acc = ShardAccumulator::default();
+        let mut live = ServeStats::new(1);
         for ns in [300, 100, 200] {
-            acc.observe_latency(ns);
+            live.shards[0].observe_latency(ns);
         }
-        let stats = StatsAccumulator {
-            per_shard: vec![acc],
-            ..StatsAccumulator::default()
-        }
-        .snapshot(&[5]);
+        let stats = live.snapshot(&[5], 0);
         let lat = &stats.shards[0].latency;
         assert_eq!(lat.min, 100);
         assert_eq!(lat.mean(), 200);
@@ -632,15 +477,11 @@ mod tests {
 
     #[test]
     fn queue_and_backpressure_distributions_accumulate() {
-        let mut acc = ShardAccumulator::default();
-        acc.observe_queue_depth(0);
-        acc.observe_queue_depth(7);
-        acc.observe_backpressure_wait(1500);
-        let stats = StatsAccumulator {
-            per_shard: vec![acc],
-            ..StatsAccumulator::default()
-        }
-        .snapshot(&[0]);
+        let mut live = ServeStats::new(1);
+        live.shards[0].queue_depths.record(0);
+        live.shards[0].queue_depths.record(7);
+        live.shards[0].backpressure_wait_ns.record(1500);
+        let stats = live.snapshot(&[0], 0);
         assert_eq!(stats.shards[0].queue_depths.count, 2);
         assert_eq!(stats.shards[0].queue_depths.max, 7);
         assert_eq!(stats.shards[0].backpressure_wait_ns.count, 1);
@@ -649,11 +490,11 @@ mod tests {
 
     #[test]
     fn stats_json_roundtrips() {
-        let mut acc = StatsAccumulator::new(2);
-        acc.submitted = 10;
-        acc.per_shard[1].evicted = 3;
-        acc.per_shard[0].observe_latency(420);
-        let mut stats = acc.snapshot(&[0, 1]);
+        let mut live = ServeStats::new(2);
+        live.submitted = 10;
+        live.shards[1].evicted = 3;
+        live.shards[0].observe_latency(420);
+        let mut stats = live.snapshot(&[0, 1], 2);
         stats.net.frames = 7;
         stats.net.connections.push(ConnStats {
             conn: 0,
@@ -707,7 +548,7 @@ mod tests {
     /// update this golden string (and any dashboards scraping the dump).
     #[test]
     fn stats_dump_schema_is_pinned() {
-        let mut stats = StatsAccumulator::new(1).snapshot(&[0]);
+        let mut stats = ServeStats::new(1).snapshot(&[0], 0);
         stats.net.connections.push(ConnStats::default());
         let json = serde_json::to_string(&stats).unwrap();
         let golden = concat!(
@@ -738,18 +579,18 @@ mod tests {
     /// the scrape contract.
     #[test]
     fn prometheus_exposition_is_pinned() {
-        let mut acc = StatsAccumulator::new(1);
-        acc.submitted = 3;
-        acc.reports = 3;
-        acc.alarms = 1;
-        acc.per_shard[0].pairs = 2;
-        acc.per_shard[0].tracked_pairs = 2;
-        acc.per_shard[0].materialized = 2;
+        let mut live = ServeStats::new(1);
+        live.submitted = 3;
+        live.reports = 3;
+        live.alarms = 1;
+        live.shards[0].pairs = 2;
+        live.shards[0].tracked_pairs = 2;
+        live.shards[0].materialized_models = 2;
         for ns in [3, 900, 1000] {
-            acc.per_shard[0].observe_latency(ns);
+            live.shards[0].observe_latency(ns);
         }
-        acc.per_shard[0].observe_queue_depth(1);
-        let stats = acc.snapshot(&[1]);
+        live.shards[0].queue_depths.record(1);
+        let stats = live.snapshot(&[1], 0);
         let text = stats.to_prometheus(&Tracer::disabled());
         let golden = "\
 # HELP gridwatch_submitted_total Snapshots accepted at the ingestion front.
@@ -859,9 +700,37 @@ gridwatch_net_gap_skips_total 0
         assert_eq!(text, golden);
     }
 
+    /// Every metric is declared once, as a table row, so checking the
+    /// tables checks every name a scrape can carry.
+    #[test]
+    fn metric_tables_are_well_formed() {
+        fn rows<T>(table: &[Metric<T>]) -> Vec<(&'static str, &'static str)> {
+            table.iter().map(|row| (row.0, row.1)).collect()
+        }
+        let mut all = rows(SERVE_METRICS);
+        all.extend(rows(SHARD_METRICS));
+        all.extend(SHARD_HISTOGRAMS.iter().map(|row| (row.0, "histogram")));
+        all.extend(rows(NET_METRICS));
+        all.extend(rows(crate::coordinator::FABRIC_METRICS));
+        all.extend(rows(crate::remote::WORKER_METRICS));
+        all.extend(gridwatch_obs::health::BURN_METRICS.map(|row| (row.0, row.1)));
+        let mut seen = std::collections::BTreeSet::new();
+        for (name, kind) in all {
+            assert!(seen.insert(name), "{name} is declared twice");
+            let rest = name.strip_prefix("gridwatch_").unwrap_or("");
+            let legal = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+            assert!(!rest.is_empty() && rest.bytes().all(legal), "{name}");
+            assert_eq!(
+                kind == "counter",
+                name.ends_with("_total"),
+                "{name} is a {kind}"
+            );
+        }
+    }
+
     #[test]
     fn enabled_tracer_adds_stage_histograms() {
-        let stats = StatsAccumulator::new(1).snapshot(&[0]);
+        let stats = ServeStats::new(1).snapshot(&[0], 0);
         let tracer = Tracer::enabled();
         tracer.record_ns(Stage::Score, 100);
         tracer.record_ns(Stage::Merge, 50);

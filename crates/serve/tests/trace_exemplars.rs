@@ -7,6 +7,9 @@
 //! * The exemplar layer is an observer: with exemplars disabled (the
 //!   default) or enabled, the report stream is bit-identical to the
 //!   offline baseline replay.
+//! * One clock per stage: with the tracer on as well, a stage's
+//!   histogram counts exactly the slices filed for it — both are fed
+//!   by the same span.
 
 mod common;
 
@@ -34,6 +37,12 @@ struct Worker {
     handle: JoinHandle<Result<WorkerSummary, FabricError>>,
 }
 
+/// Slices filed for `stage` across the retained traces.
+fn slices(traces: &[gridwatch_obs::TraceExemplar], stage: Stage) -> u64 {
+    let spans = traces.iter().flat_map(|t| &t.spans);
+    spans.filter(|s| s.stage == stage.name()).count() as u64
+}
+
 fn spawn_worker() -> Worker {
     let worker = ShardWorker::bind("127.0.0.1:0").expect("bind worker");
     let addr = worker.local_addr().to_string();
@@ -57,8 +66,10 @@ fn fabric_exemplars_cover_all_seven_stages_across_the_wire() {
     let workers: Vec<Worker> = (0..2).map(|_| spawn_worker()).collect();
     let addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
     // head_sample_every: 1 retains every snapshot, so the suite also
-    // proves head sampling and alarm retention coexist.
+    // proves head sampling and alarm retention coexist. The tracer is
+    // on too: both sinks hang off the one span guard.
     let obs = exemplar_obs(1);
+    obs.tracer.enable();
     let mut coordinator =
         Coordinator::connect_with_obs(snapshot, &addrs, FabricConfig::default(), obs.clone())
             .expect("connect fabric");
@@ -103,6 +114,13 @@ fn fabric_exemplars_cover_all_seven_stages_across_the_wire() {
         .map(|t| t.seq)
         .collect();
     assert_eq!(got_alarmed, alarmed_seqs);
+    // Every trace is retained, so for each stage the coordinator times,
+    // the histogram holds one sample per slice: the property two clocks
+    // per stage could not guarantee.
+    for stage in [Stage::Route, Stage::Score, Stage::Merge, Stage::Report] {
+        let count = obs.tracer.stage(stage).count;
+        assert_eq!(count, slices(&exemplars, stage), "{}", stage.name());
+    }
 }
 
 proptest! {
@@ -122,7 +140,10 @@ proptest! {
         let trace = common::trace(steps);
         let want = common::reference_reports(snapshot.clone(), &trace);
 
-        for obs in [PipelineObs::default(), exemplar_obs(head_every)] {
+        // Last: both sinks of the span guard on, every trace retained.
+        let both = exemplar_obs(1);
+        both.tracer.enable();
+        for obs in [PipelineObs::default(), exemplar_obs(head_every), both.clone()] {
             let mut engine = ShardedEngine::start_with_obs(
                 snapshot.clone(),
                 ServeConfig {
@@ -138,6 +159,14 @@ proptest! {
             }
             let (reports, _) = engine.shutdown();
             prop_assert_eq!(&reports, &want);
+        }
+        let (_, traces) = both.exemplar.snapshot_indexed();
+        // Route's slice is filed by the thread that opened the trace,
+        // so it is exact; the others race the open (a slice can miss a
+        // trace not yet opened) but can never outnumber their samples.
+        prop_assert_eq!(both.tracer.stage(Stage::Route).count, slices(&traces, Stage::Route));
+        for stage in [Stage::Score, Stage::Merge, Stage::Report] {
+            prop_assert!(both.tracer.stage(stage).count >= slices(&traces, stage));
         }
     }
 }

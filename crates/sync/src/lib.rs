@@ -71,7 +71,7 @@ pub mod classes {
     pub const FABRIC_STATE_CACHE: LockClass = LockClass::new("fabric.state_cache", 20);
     /// Coordinator fabric counters (`Coordinator::stats`).
     pub const FABRIC_STATS: LockClass = LockClass::new("fabric.stats", 30);
-    /// `ShardedEngine` serving counters (`StatsAccumulator`).
+    /// `ShardedEngine` serving counters (its live `ServeStats` document).
     pub const ENGINE_STATS: LockClass = LockClass::new("engine.stats", 32);
     /// `NetServer` ingestion counters and per-connection stats table.
     pub const NET_ACCUMULATOR: LockClass = LockClass::new("net.accumulator", 34);
