@@ -1,8 +1,7 @@
-//! The cross-file concurrency analysis pass (`gridwatch audit
-//! --concurrency`).
+//! The cross-file concurrency analysis pass (`gridwatch audit`).
 //!
-//! Built on the same self-contained lexer as the per-file lints, this
-//! pass walks every function in the concurrency-scanned crates and:
+//! Built on a self-contained lexer ([`crate::lexer`]), this pass walks
+//! every function in the concurrency-scanned crates and:
 //!
 //! 1. extracts **nested lock-acquisition chains** — which lock classes
 //!    a function acquires while already holding others — and merges
@@ -14,9 +13,7 @@
 //! 3. flags **blocking operations under a held guard** — channel
 //!    `send`/`recv`, socket reads/writes, `join()`, `sync_all`/
 //!    `sync_data`, sleeps, and the project's frame I/O helpers
-//!    ([`Rule::BlockingUnderLock`]);
-//! 4. flags **`Condvar` waits outside a predicate loop**
-//!    ([`Rule::CondvarNoLoop`]).
+//!    ([`Rule::BlockingUnderLock`]).
 //!
 //! Being lexical, the pass is deliberately conservative in both
 //! directions (see DESIGN.md §13 for the caveat list):
@@ -34,10 +31,45 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, strip_test_code, Tok, TokKind};
-use crate::lints::{Rule, Violation};
+
+/// One concurrency rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rule {
+    /// Lock acquisition that closes a cycle in the global lock-order
+    /// graph (potential deadlock).
+    LockCycle,
+    /// Blocking operation (channel send/recv, socket I/O, `join()`,
+    /// fsync, condvar wait) executed while a lock guard is held.
+    BlockingUnderLock,
+}
+
+impl Rule {
+    /// The rule's stable name, used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::LockCycle => "lock-cycle",
+            Rule::BlockingUnderLock => "blocking-under-lock",
+        }
+    }
+}
+
+/// One finding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Which rule fired.
+    pub rule: Rule,
+    /// Repo-relative path (forward slashes) of the offending file.
+    pub file: String,
+    /// 1-based line of the offending token.
+    pub line: u32,
+    /// The trimmed source line.
+    pub excerpt: String,
+    /// Human-readable explanation.
+    pub message: String,
+}
 
 /// Crates scanned by the concurrency pass: everything that owns a lock
 /// or runs on the serving path.
@@ -81,7 +113,7 @@ pub struct EdgeSite {
     pub file: String,
     /// 1-based line of the inner (second) acquisition.
     pub line: u32,
-    /// Trimmed source line at `line` (the allowlist fingerprint).
+    /// Trimmed source line at `line`.
     pub excerpt: String,
     /// 1-based line where the already-held guard was acquired.
     pub held_line: u32,
@@ -225,7 +257,7 @@ impl LockGraph {
 /// trend line reports.
 #[derive(Debug)]
 pub struct ConcurrencyReport {
-    /// All violations (cycles, blocking-under-lock, condvar), sorted.
+    /// All violations (cycles and blocking-under-lock), sorted.
     pub violations: Vec<Violation>,
     /// Total lock acquisition sites seen.
     pub lock_sites: usize,
@@ -244,8 +276,6 @@ struct FileDecls {
     /// Names declared with an rwlock type (whose bare `.read()` /
     /// `.write()` calls are lock acquisitions, not socket I/O).
     rwlocks: BTreeSet<String>,
-    /// Names declared as `Condvar`.
-    condvars: BTreeSet<String>,
 }
 
 /// Collects `name: … Mutex<Inner> …` style declarations from a token
@@ -259,16 +289,9 @@ fn collect_decls(toks: &[Tok]) -> FileDecls {
         }
         let is_mutex = MUTEX_TYPES.contains(&tok.text.as_str());
         let is_rwlock = RWLOCK_TYPES.contains(&tok.text.as_str());
-        let is_condvar = tok.text == "Condvar";
-        if !is_mutex && !is_rwlock && !is_condvar {
-            continue;
-        }
         // A lock *type* is followed by `<`; `Mutex::new` and friends are
-        // expressions, not declarations. Condvar has no type parameter.
-        if (is_mutex || is_rwlock) && !toks.get(k + 1).is_some_and(|t| t.is_punct("<")) {
-            continue;
-        }
-        if is_condvar && toks.get(k + 1).is_some_and(|t| t.is_punct("::")) {
+        // expressions, not declarations.
+        if !(is_mutex || is_rwlock) || !toks.get(k + 1).is_some_and(|t| t.is_punct("<")) {
             continue;
         }
         // Walk back through wrapper-type tokens (`Arc<`, `Vec<`, `&`,
@@ -276,10 +299,6 @@ fn collect_decls(toks: &[Tok]) -> FileDecls {
         let Some(name) = declared_name(toks, k) else {
             continue;
         };
-        if is_condvar {
-            decls.condvars.insert(name);
-            continue;
-        }
         let inner = inner_type(toks, k + 1);
         let class = match inner {
             Some(t) => format!("{name}<{t}>"),
@@ -426,17 +445,8 @@ struct HeldGuard {
     temp: bool,
 }
 
-/// Whether the receiver name looks like a condition variable.
-fn condvar_ish(decls: &FileDecls, name: &str) -> bool {
-    if decls.condvars.contains(name) || name == "Condvar" {
-        return true;
-    }
-    let lower = name.to_lowercase();
-    lower.contains("cond") || lower.contains("cvar")
-}
-
 /// Analyzes one file's token stream, adding edges to `graph` and
-/// blocking/condvar violations to `out`. Returns the number of lock
+/// blocking violations to `out`. Returns the number of lock
 /// acquisition sites seen.
 fn analyze_source(
     file: &str,
@@ -552,35 +562,18 @@ fn analyze_source(
 
         // Main walk: block structure, guard lifetimes, acquisitions.
         let mut held: Vec<HeldGuard> = Vec::new();
-        // Each entry: is this block a `while`/`loop`/`for` body?
-        let mut blocks: Vec<bool> = Vec::new();
+        let mut depth = 0usize;
         let mut i = 0usize;
         while i < body.len() {
             let t = &body[i];
             if t.is_punct("{") {
-                // Look back to the previous statement boundary for a
-                // loop keyword introducing this block.
-                let mut is_loop = false;
-                let mut back = i;
-                while back > 0 {
-                    back -= 1;
-                    let u = &body[back];
-                    if u.is_punct(";") || u.is_punct("{") || u.is_punct("}") || i - back > 64 {
-                        break;
-                    }
-                    if u.is_ident("while") || u.is_ident("loop") || u.is_ident("for") {
-                        is_loop = true;
-                        break;
-                    }
-                }
-                blocks.push(is_loop);
+                depth += 1;
                 i += 1;
                 continue;
             }
             if t.is_punct("}") {
-                let d = blocks.len();
-                held.retain(|g| g.depth < d);
-                blocks.pop();
+                held.retain(|g| g.depth < depth);
+                depth = depth.saturating_sub(1);
                 i += 1;
                 continue;
             }
@@ -699,7 +692,7 @@ fn analyze_source(
                         class,
                         var,
                         line: t.line,
-                        depth: blocks.len(),
+                        depth,
                         temp,
                     });
                 }
@@ -714,47 +707,7 @@ fn analyze_source(
                 && (!EMPTY_ARGS_ONLY.contains(&t.text.as_str()) || empty_args);
             let blocking_free = called && BLOCKING_FREE_FNS.contains(&t.text.as_str());
             if blocking_method || blocking_free {
-                let receiver_name = if dotted && i >= 2 {
-                    receiver_base(body, i - 2).map(|(n, _)| n)
-                } else {
-                    None
-                };
-                let is_condvar_wait = (t.text == "wait" || t.text == "wait_timeout")
-                    && receiver_name
-                        .as_deref()
-                        .is_some_and(|n| condvar_ish(&decls, n));
-                if is_condvar_wait {
-                    if !blocks.iter().any(|&l| l) {
-                        out.push(Violation {
-                            rule: Rule::CondvarNoLoop,
-                            file: file.to_string(),
-                            line: t.line,
-                            excerpt: excerpt_at(t.line),
-                            message: format!(
-                                "`.{}()` outside a predicate loop: condvar wakeups \
-                                 are spurious, so the wait must re-check its \
-                                 predicate in a `while` (or use `wait_while`)",
-                                t.text
-                            ),
-                        });
-                    }
-                    // The wait releases its own mutex; only flag it as
-                    // blocking when *another* guard is also held.
-                    if held.len() >= 2 {
-                        let outer = &held[0];
-                        out.push(Violation {
-                            rule: Rule::BlockingUnderLock,
-                            file: file.to_string(),
-                            line: t.line,
-                            excerpt: excerpt_at(t.line),
-                            message: format!(
-                                "condvar wait while also holding `{}` (locked at \
-                                 line {}): the wait only releases its own mutex",
-                                outer.class, outer.line
-                            ),
-                        });
-                    }
-                } else if let Some(g) = held.first() {
+                if let Some(g) = held.first() {
                     let held_classes: Vec<&str> = held.iter().map(|h| h.class.as_str()).collect();
                     out.push(Violation {
                         rule: Rule::BlockingUnderLock,
@@ -806,33 +759,83 @@ pub fn scan_concurrency(root: &Path) -> io::Result<ConcurrencyReport> {
     for krate in CONCURRENCY_LINT_CRATES {
         let src = root.join("crates").join(krate).join("src");
         if src.is_dir() {
-            crate::rust_sources(&src, &mut files)?;
+            rust_sources(&src, &mut files)?;
         }
     }
     scan_file_list(root, &files)
 }
 
 /// Fixture mode: runs the concurrency pass over every `.rs` file under
-/// `dir` (mirrors [`crate::scan_paths`]).
+/// `dir` (or over `dir` itself when it is a file).
 pub fn scan_concurrency_paths(dir: &Path) -> io::Result<ConcurrencyReport> {
     let mut files = Vec::new();
     if dir.is_dir() {
-        crate::rust_sources(dir, &mut files)?;
+        rust_sources(dir, &mut files)?;
     } else {
         files.push(dir.to_path_buf());
     }
     scan_file_list(dir, &files)
 }
 
-fn scan_file_list(root: &Path, files: &[std::path::PathBuf]) -> io::Result<ConcurrencyReport> {
+fn scan_file_list(root: &Path, files: &[PathBuf]) -> io::Result<ConcurrencyReport> {
     let mut sources = Vec::new();
     for path in files {
         let text = fs::read_to_string(path)?;
-        sources.push((crate::relative_name(root, path), text));
+        sources.push((relative_name(root, path), text));
     }
     Ok(scan_sources(
         sources.iter().map(|(n, s)| (n.as_str(), s.as_str())),
     ))
+}
+
+/// Recursively collects `.rs` files under `dir`, sorted for stable
+/// output; `tests/`, `benches/`, and `examples/` directories are skipped
+/// (the pass targets library code reachable in production).
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
+    entries.sort_by_key(std::fs::DirEntry::file_name);
+    for entry in entries {
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if matches!(name.as_ref(), "tests" | "benches" | "examples" | "target") {
+                continue;
+            }
+            rust_sources(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// The repo-relative, forward-slash form of `path` under `root` (used in
+/// reports so they are stable across machines).
+fn relative_name(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
+}
+
+/// Renders one violation as a `file:line: [rule] message: excerpt` line.
+pub fn render_violation(v: &Violation) -> String {
+    format!(
+        "{}:{}: [{}] {}\n    {}",
+        v.file,
+        v.line,
+        v.rule.name(),
+        v.message,
+        v.excerpt
+    )
+}
+
+/// Renders the concurrency trend line CI prints: the size of the
+/// workspace's lock-order graph.
+pub fn render_trend(report: &ConcurrencyReport) -> String {
+    format!(
+        "concurrency: {} lock acquisition sites across {} classes, {} order edges",
+        report.lock_sites, report.classes, report.edges
+    )
 }
 
 #[cfg(test)]
@@ -899,7 +902,7 @@ mod tests {
     fn decls_key_classes_by_field_path_and_type() {
         let toks = strip_test_code(&lex(
             "struct A { stats: Arc<Mutex<FabricStats>>, slots: Arc<Vec<Mutex<ShardSlot>>>, \
-             table: RwLock<Vec<u32>>, cond: Condvar }",
+             table: RwLock<Vec<u32>> }",
         ));
         let decls = collect_decls(&toks);
         assert_eq!(
@@ -911,7 +914,6 @@ mod tests {
             Some("slots<ShardSlot>")
         );
         assert!(decls.rwlocks.contains("table"));
-        assert!(decls.condvars.contains("cond"));
         // `Mutex::new(...)` is an expression, not a declaration.
         let toks = strip_test_code(&lex("fn f() { let x = Mutex::new(0); }"));
         assert!(collect_decls(&toks).locks.is_empty());
@@ -1053,30 +1055,6 @@ mod tests {
         let report = scan_sources([("join.rs", src)]);
         assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
         assert!(report.violations[0].message.contains("join"));
-    }
-
-    #[test]
-    fn condvar_wait_without_loop_is_flagged() {
-        let src = r"
-            struct G { ready: Mutex<bool>, cond: Condvar }
-            impl G {
-                fn bad(&self) {
-                    let mut g = self.ready.lock();
-                    if !*g {
-                        self.cond.wait(&mut g);
-                    }
-                }
-                fn good(&self) {
-                    let mut g = self.ready.lock();
-                    while !*g {
-                        self.cond.wait(&mut g);
-                    }
-                }
-            }
-        ";
-        let report = scan_sources([("cv.rs", src)]);
-        assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
-        assert_eq!(report.violations[0].rule, Rule::CondvarNoLoop);
     }
 
     #[test]

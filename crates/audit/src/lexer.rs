@@ -1,15 +1,15 @@
-//! A minimal self-contained Rust lexer, sufficient for the project
-//! lints.
+//! A minimal self-contained Rust lexer, sufficient for the concurrency
+//! pass.
 //!
 //! The workspace builds offline (no registry access), so vendoring
-//! `proc-macro2`/`syn` is off the table; the lints only need a token
+//! `proc-macro2`/`syn` is off the table; the pass only needs a token
 //! stream that is faithful about the things that trip naive `grep`-style
 //! checks:
 //!
 //! * comments (line, doc, and nested block comments) produce no tokens —
-//!   a `panic!` in a doc example is not a violation;
+//!   a `.lock()` in a doc example is not an acquisition;
 //! * string, raw-string, byte-string, and char literals are single
-//!   tokens — `"unwrap()"` inside a message string is not a call;
+//!   tokens — `"send()"` inside a message string is not a call;
 //! * lifetimes are distinguished from char literals;
 //! * multi-character operators (`==`, `!=`, `::`, …) are single tokens,
 //!   so `!=` is never misread as `!` plus `=`;
@@ -17,7 +17,7 @@
 //!   ranges (`1.0` vs `x.0` vs `0..1`).
 //!
 //! [`strip_test_code`] then removes `#[cfg(test)]` / `#[test]` items so
-//! the lints only see non-test library code.
+//! the pass only sees non-test library code.
 
 /// The kind of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub struct Tok {
     /// What kind of token this is.
     pub kind: TokKind,
     /// The token's text, verbatim (literals are truncated to their
-    /// opening delimiter — the lints never look inside them).
+    /// opening delimiter — the pass never looks inside them).
     pub text: String,
     /// 1-based line number where the token starts.
     pub line: u32,
@@ -77,7 +77,7 @@ const MULTI_PUNCT: &[&str] = &[
 /// Lexes `source` into tokens, discarding comments and whitespace.
 ///
 /// The lexer is total: any byte sequence produces *some* token stream
-/// (unterminated literals run to end of input). That keeps the lint pass
+/// (unterminated literals run to end of input). That keeps the pass
 /// robust on fixture files and mid-edit source.
 pub fn lex(source: &str) -> Vec<Tok> {
     let chars: Vec<char> = source.chars().collect();
@@ -331,7 +331,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
 
 /// Removes test-only items from a token stream: any item annotated
 /// `#[cfg(test)]` or `#[test]` (including whole `mod tests { … }`
-/// blocks) disappears, so the lints only judge non-test library code.
+/// blocks) disappears, so the pass only judges non-test library code.
 ///
 /// Attributes mentioning `test` under a `not(…)` (e.g.
 /// `#[cfg(not(test))]`) are kept — that code *is* the production build.

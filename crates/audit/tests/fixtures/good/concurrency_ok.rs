@@ -1,13 +1,10 @@
 //! Concurrency patterns the lint must accept: a consistent alpha →
 //! beta order in every function, guards dropped before blocking calls,
-//! temporaries that die at their statement, and condvar waits inside
-//! predicate loops.
+//! and temporaries that die at their statement.
 
 pub struct Pair {
     alpha: Mutex<State>,
     beta: Mutex<State>,
-    ready: Mutex<bool>,
-    cond: Condvar,
     tx: Sender<u64>,
 }
 
@@ -43,12 +40,5 @@ impl Pair {
     pub fn counted_publish(&self, value: u64) {
         self.alpha.lock().count += 1;
         self.tx.send(value);
-    }
-
-    pub fn pass(&self) {
-        let mut guard = self.ready.lock();
-        while !*guard {
-            guard = self.cond.wait(guard);
-        }
     }
 }

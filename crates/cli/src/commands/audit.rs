@@ -1,34 +1,30 @@
 //! `gridwatch audit` — static analysis and checkpoint validation.
 //!
-//! The one front-end over the `gridwatch-audit` crate: the lint pass
-//! and fixture self-check CI runs, plus the offline checkpoint
-//! validator for use before `gridwatch serve --resume`.
+//! The one front-end over the `gridwatch-audit` crate: the concurrency
+//! pass and fixture self-check CI runs, plus the offline checkpoint and
+//! store validators for use before `gridwatch serve --resume`.
 
 use std::path::{Path, PathBuf};
 
-use gridwatch_audit::{
-    allowlist, checkpoint, concurrency, find_workspace_root, render_concurrency_trend,
-    render_trend, render_violation, scan_paths, scan_workspace,
-};
+use gridwatch_audit::concurrency::{self, render_trend, render_violation, ConcurrencyReport};
+use gridwatch_audit::{checkpoint, find_workspace_root};
 
 use crate::flags::Flags;
 
 const HELP: &str = "\
-gridwatch audit [--concurrency] [--root DIR] [--allowlist FILE]
+gridwatch audit [--root DIR]
 gridwatch audit --paths DIR
 gridwatch audit --checkpoint DIR
 gridwatch audit --store DIR
 
-  --concurrency     also run the cross-file lock-order pass: build the
-                    global lock-order graph, report cycles (potential
-                    deadlocks), guards held across blocking calls, and
-                    condvar waits without a predicate loop
+  (no flag)         run the cross-file lock-order pass over the
+                    workspace: build the global lock-order graph and
+                    report cycles (potential deadlocks) and guards held
+                    across blocking calls; fails on any finding
   --root DIR        workspace root (default: walk up from the cwd)
-  --allowlist FILE  allowlist ledger (default: <root>/audit/allowlist.txt)
-  --paths DIR       fixture mode: lint every file under DIR with every
-                    rule, the concurrency pass included, and no
-                    allowlist; fails on any violation
-  --checkpoint DIR  validate a checkpoint directory instead of linting;
+  --paths DIR       fixture mode: the same pass over every file under
+                    DIR
+  --checkpoint DIR  validate a checkpoint directory instead;
                     run this before `gridwatch serve --resume` on a
                     directory you do not trust
   --store DIR       validate a history store offline (read-only): torn
@@ -44,25 +40,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         "audit",
         args,
-        &["concurrency"],
-        &[&["root", "allowlist", "paths", "checkpoint", "store"]],
+        &[],
+        &[&["root", "paths", "checkpoint", "store"]],
     )?;
 
     if let Some(dir) = flags.get::<String>("paths")? {
-        let scan_err = |e| format!("scanning {dir}: {e}");
-        let mut violations = scan_paths(Path::new(&dir)).map_err(scan_err)?;
-        let conc = concurrency::scan_concurrency_paths(Path::new(&dir)).map_err(scan_err)?;
-        violations.extend(conc.violations);
-        violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        for v in &violations {
-            println!("{}", render_violation(v));
-        }
-        println!("{} violation(s) in {dir}", violations.len());
-        return if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{dir} failed the lints"))
-        };
+        let report = concurrency::scan_concurrency_paths(Path::new(&dir))
+            .map_err(|e| format!("scanning {dir}: {e}"))?;
+        return finish(&report, &dir);
     }
 
     if let Some(dir) = flags.get::<String>("store")? {
@@ -123,60 +108,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 .ok_or("no workspace Cargo.toml above the current directory; pass --root")?
         }
     };
-    let allowlist_path = match flags.get::<String>("allowlist")? {
-        Some(f) => PathBuf::from(f),
-        None => root.join("audit/allowlist.txt"),
-    };
+    let report = concurrency::scan_concurrency(&root)
+        .map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    println!("{}", render_trend(&report));
+    finish(&report, &root.display().to_string())
+}
 
-    let mut violations =
-        scan_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let conc = if flags.has("concurrency") {
-        let report = concurrency::scan_concurrency(&root)
-            .map_err(|e| format!("scanning {}: {e}", root.display()))?;
-        violations.extend(report.violations.iter().cloned());
-        violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        Some(report)
-    } else {
-        None
-    };
-    let mut entries = match std::fs::read_to_string(&allowlist_path) {
-        Ok(text) => allowlist::parse(&text).map_err(|e| e.to_string())?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("reading {}: {e}", allowlist_path.display())),
-    };
-    // Without the concurrency pass, its ledger entries have no
-    // violations to match — keep them out of the two-sided check so
-    // they are not reported stale.
-    if conc.is_none() {
-        entries.retain(|e| !e.rule.is_concurrency());
-    }
-
-    let rec = allowlist::reconcile(&violations, &entries);
-    for v in &rec.new_violations {
+/// Prints every finding; any finding fails the audit.
+fn finish(report: &ConcurrencyReport, scanned: &str) -> Result<(), String> {
+    for v in &report.violations {
         println!("{}", render_violation(v));
     }
-    for (entry, surplus) in &rec.stale_entries {
-        println!(
-            "stale allowlist entry (line {}): [{}] {} x{} {:?} — {} site(s) no longer found",
-            entry.source_line,
-            entry.rule.name(),
-            entry.file,
-            entry.count,
-            entry.fingerprint,
-            surplus
-        );
-    }
-    println!("{}", render_trend(&entries));
-    if let Some(report) = &conc {
-        println!("{}", render_concurrency_trend(report, &entries));
-    }
-    if rec.is_clean() {
+    println!("{} violation(s) in {scanned}", report.violations.len());
+    if report.violations.is_empty() {
         Ok(())
     } else {
-        Err(format!(
-            "audit failed: {} new violation(s), {} stale allowlist entr(ies)",
-            rec.new_violations.len(),
-            rec.stale_entries.len()
-        ))
+        Err(format!("{scanned} failed the concurrency pass"))
     }
 }

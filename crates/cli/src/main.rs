@@ -72,11 +72,11 @@ commands:
              [--alarmed] [--slowest K] [--format text|json] [--limit N]
   inspect    summarize a persisted engine
              --engine FILE [--verbose]
-  audit      lint the workspace sources (or a fixture directory),
+  audit      check the workspace sources (or a fixture directory)
+             for lock-order cycles and blocking under a lock,
              validate a checkpoint directory offline before
              `serve --resume`, or validate a history store
-             [--concurrency] [--root DIR] [--allowlist FILE]
-             | --paths DIR | --checkpoint DIR | --store DIR
+             [--root DIR] | --paths DIR | --checkpoint DIR | --store DIR
 
 run `gridwatch <command> --help` for details";
 

@@ -83,9 +83,11 @@ impl TransitionModel {
         let mut matrix = TransitionMatrix::new(config.kernel, config.decay_rate);
         let mut last_cell = None;
         for (_, from, to) in history.transitions() {
+            #[expect(clippy::expect_used, reason = "the grid was built from these points")]
             let ci = grid
                 .locate(from)
                 .expect("history points are inside the grid by construction");
+            #[expect(clippy::expect_used, reason = "the grid was built from these points")]
             let cj = grid
                 .locate(to)
                 .expect("history points are inside the grid by construction");

@@ -60,7 +60,7 @@ impl CellRanges {
 fn fmt_bound(v: f64) -> String {
     // Comparing v to its own truncation is the standard exact test for
     // "is an integer"; a tolerance would misprint near-integers.
-    #[allow(clippy::float_cmp)]
+    #[expect(clippy::float_cmp, reason = "the exact test for an integer")]
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {

@@ -245,7 +245,7 @@ impl GridBuilder {
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         // Exact equality of the fold min and max means every sample is
         // the very same value — the one case a grid cannot be built for.
-        #[allow(clippy::float_cmp)]
+        #[expect(clippy::float_cmp, reason = "only identical samples are degenerate")]
         if lo == hi {
             return Err(GridError::DegenerateDimension {
                 dimension,
@@ -352,11 +352,13 @@ fn merge_units(counts: &[u64], similarity: f64, density_factor: f64) -> Vec<(usi
 /// roughly equal point counts.
 fn equal_frequency_bounds(values: &[f64], lo: f64, hi: f64, k: usize) -> Vec<Interval> {
     let mut sorted = values.to_vec();
+    #[expect(clippy::expect_used, reason = "training values are screened finite")]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
     let mut bounds = vec![lo];
     for q in 1..k {
         let idx = q * sorted.len() / k;
         let v = sorted[idx.min(sorted.len() - 1)];
+        #[expect(clippy::expect_used, reason = "`bounds` starts with `lo`")]
         let last = *bounds.last().expect("non-empty");
         if v > last && v < hi {
             bounds.push(v);

@@ -32,7 +32,6 @@ pub const EPSILON: f64 = 1e-9;
 /// ```
 // The blessed site for exact comparison: the fast path below covers
 // identical values (including infinities) before the tolerance check.
-#[allow(clippy::float_cmp)]
 pub fn approx_eq(a: f64, b: f64) -> bool {
     if a == b {
         return true;

@@ -75,7 +75,7 @@ impl Interval {
     /// space by reusing the same `f64` as one interval's upper bound and
     /// the next one's lower bound, so a tolerance would declare merely
     /// nearby intervals adjacent.
-    #[allow(clippy::float_cmp)]
+    #[expect(clippy::float_cmp, reason = "adjacency is bit-exact by construction")]
     pub fn is_adjacent_to(self, other: Interval) -> bool {
         self.upper == other.lower || other.upper == self.lower
     }

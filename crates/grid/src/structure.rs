@@ -232,6 +232,7 @@ impl GridStructure {
         let (pre_c, app_c) = self.x.extend_to(p.x);
         let (pre_r, app_r) = self.y.extend_to(p.y);
         crate::invariants::check_grid(self);
+        #[expect(clippy::expect_used, reason = "`check_grid` just proved the extension")]
         let cell = self.locate(p).expect("point is contained after extension");
         Extension::Extended {
             cell,

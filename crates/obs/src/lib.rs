@@ -22,6 +22,20 @@
 //!   [`error!`], [`warn!`], [`info!`], and [`debug!`] macros
 //!   (filtered by `GRIDWATCH_LOG`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod exemplar;
 pub mod expo;
 pub mod health;

@@ -18,6 +18,20 @@
 //! stream, with epoch fencing and checkpoint-transfer migration when a
 //! worker dies.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod checkpoint;
 pub mod coordinator;
 pub mod engine;

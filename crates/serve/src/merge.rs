@@ -125,7 +125,7 @@ where
 {
     /// A merger for `shards` shards whose first step is `start_seq`,
     /// continuing `tracker`'s debounce state.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "each front supplies every part")]
     pub(crate) fn new(
         shards: usize,
         config: EngineConfig,
@@ -415,6 +415,7 @@ impl PendingStep {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "a test collects every report")]
 mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;

@@ -39,6 +39,11 @@
 //! checkpoint (with per-source progress inside the manifest) and stop
 //! the engine.
 
+#![cfg_attr(
+    not(test),
+    forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -424,7 +429,7 @@ impl NetServer {
 
 /// Accepts connections until the stop flag is raised, spawning one
 /// handler thread per socket.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a thread body takes its handles")]
 fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
@@ -507,7 +512,7 @@ fn accept_loop(
 
 /// One connection: read bytes, decode frames, deliver with backpressure,
 /// account every outcome.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a thread body takes its handles")]
 fn conn_loop(
     conn: usize,
     mut stream: TcpStream,

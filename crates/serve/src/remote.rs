@@ -60,7 +60,7 @@ const CONTROL_PREFIX: &[u8] = b"{\"control\":";
 // `Hello` dwarfs the other variants, but boxing the snapshot is not an
 // option: the vendored serde has no `Box<T>` impls, and controls are
 // built once per session, not per snapshot.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant, reason = "the vendored serde has no Box")]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FabricControl {
     /// Session handshake: adopt this shard slice.
@@ -137,7 +137,7 @@ pub struct BoardFrame {
 /// `State` dwarfs the other variants, but it cannot be boxed: the
 /// vendored serde derives have no `Box<T>` impls. One `State` exists
 /// per shard per checkpoint, so the oversized variant never amplifies.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant, reason = "the vendored serde has no Box")]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FabricResponse {
     /// Handshake acknowledgement.
@@ -292,7 +292,7 @@ pub fn decode_response(payload: &[u8]) -> Result<FabricResponse, FabricError> {
 // Same situation as `FabricControl` above: `Control(Hello)` dwarfs the
 // snapshot variant, but controls arrive once per session, not per
 // snapshot, so boxing buys nothing on the hot path.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant, reason = "the vendored serde has no Box")]
 #[derive(Debug)]
 pub enum Downstream {
     /// A snapshot frame in the standard JSON wire encoding.

@@ -11,6 +11,11 @@
 //! replaying an entire stream after recovery never double-applies a
 //! snapshot.
 
+#![cfg_attr(
+    not(test),
+    forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 
 use gridwatch_detect::Snapshot;

@@ -5,8 +5,8 @@
 //! dumps are persisted next to checkpoints and re-read on `--resume`
 //! tooling paths, so yesterday's dump — including pre-histogram dumps
 //! whose `latency` key held a `{min_ns, mean_ns, max_ns}` summary —
-//! must keep parsing after a field is added. The audit serde-default
-//! lint (`CHECKPOINTED_STRUCTS`) enforces this for new fields.
+//! must keep parsing after a field is added. The committed `--stats`
+//! fixture in `crates/audit/tests/fixtures/compat` enforces this.
 
 use gridwatch_obs::{Exposition, HistogramMetric, Labelled, LogHistogram, Metric, Tracer};
 use serde::{Deserialize, Serialize};

@@ -24,6 +24,11 @@
 //! writes, garbage bytes, and oversized claims all surface as typed
 //! [`DecodeError`]s or as patient `Ok(None)` waits for more bytes.
 
+#![cfg_attr(
+    not(test),
+    forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt;
 use std::str::FromStr;
 

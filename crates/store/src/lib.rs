@@ -33,6 +33,19 @@
 //! to audit, [`query`] for CLI-grade summaries.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};

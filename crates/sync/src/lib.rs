@@ -19,12 +19,25 @@
 //!   rank panics with *both* acquisition locations — the would-be
 //!   deadlock dies loudly in tests instead of hanging in production.
 //!
-//! The static side of the same contract is `gridwatch audit
-//! --concurrency`, which lints the source for lock-order cycles; this
-//! crate catches the orders that actually execute.
+//! The static side of the same contract is `gridwatch audit`, which
+//! lints the source for lock-order cycles; this crate catches the
+//! orders that actually execute.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -139,6 +152,7 @@ mod lockdep {
         });
         HELD.with(|held| {
             let mut held = held.borrow_mut();
+            #[expect(clippy::panic, reason = "fail-stop is the validator's contract")]
             if let Some(blocker) = held.iter().find(|h| h.class.rank() >= class.rank()) {
                 let stack: Vec<String> = held
                     .iter()

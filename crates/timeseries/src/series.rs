@@ -198,6 +198,7 @@ impl TimeSeries {
                     current_bucket = Some((bucket, t, v));
                 }
                 Some((_, bt, bv)) => {
+                    #[expect(clippy::expect_used, reason = "buckets rise; values are finite")]
                     out.push(Timestamp::from_secs(bt.as_secs() / step * step), bv)
                         .expect("bucket starts are strictly increasing and values finite");
                     current_bucket = Some((bucket, t, v));
@@ -206,6 +207,7 @@ impl TimeSeries {
             }
         }
         if let Some((_, bt, bv)) = current_bucket {
+            #[expect(clippy::expect_used, reason = "the last bucket starts after the rest")]
             out.push(Timestamp::from_secs(bt.as_secs() / step * step), bv)
                 .expect("final bucket start is after all previous and value finite");
         }

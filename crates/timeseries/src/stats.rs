@@ -131,6 +131,7 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
 /// Fractional ranks (1-based, ties receive their average rank).
 pub fn fractional_ranks(values: &[f64]) -> Vec<f64> {
     let mut order: Vec<usize> = (0..values.len()).collect();
+    #[expect(clippy::expect_used, reason = "the series reject non-finite values")]
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite values"));
     let mut ranks = vec![0.0; values.len()];
     let mut i = 0;
@@ -138,7 +139,7 @@ pub fn fractional_ranks(values: &[f64]) -> Vec<f64> {
         let mut j = i;
         // A tie is bit-exact equality by definition: two samples rank
         // equally only when they carry the very same value.
-        #[allow(clippy::float_cmp)]
+        #[expect(clippy::float_cmp, reason = "a tie is bit-exact equality")]
         while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
             j += 1;
         }
@@ -167,6 +168,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
         return None;
     }
     let mut sorted = values.to_vec();
+    #[expect(clippy::expect_used, reason = "NaN input is a documented panic")]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in quantile input"));
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
