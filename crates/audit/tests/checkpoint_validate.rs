@@ -287,15 +287,28 @@ fn pre_sketch_checkpoint_still_validates_and_resumes() {
     cleanup(&dir);
 }
 
-/// What `train --row-format quantized` wrote before the compact row
-/// formats and `EngineConfig::parallel` were removed: the same
-/// documents plus a `row_format` key in every `ModelConfig` and
-/// `TransitionMatrix` and a `parallel` key in every `EngineConfig`.
+/// What older code wrote before knobs were removed: the same documents
+/// plus, from `train --row-format quantized` before the compact row
+/// formats and `EngineConfig::parallel` went, a `row_format` key in
+/// every `ModelConfig` and `TransitionMatrix` and a `parallel` key in
+/// every `EngineConfig`; and, from before count forgetting went,
+/// `forgetting_factor`/`forgetting_period` in every `ModelConfig` and
+/// `since_forgetting` in every `TransitionModel`.
 fn with_removed_knobs(json: &str) -> String {
     // `kernel` is a key of exactly the two structs that carried
-    // `row_format`; `alarm` is a key of `EngineConfig` alone.
+    // `row_format`; `alarm` is a key of `EngineConfig` alone;
+    // `update_threshold` of `ModelConfig` alone; `updates_skipped` of
+    // `TransitionModel` alone.
     json.replace("\"kernel\"", "\"row_format\":\"Quantized\",\"kernel\"")
         .replace("\"alarm\"", "\"parallel\":true,\"alarm\"")
+        .replace(
+            "\"update_threshold\"",
+            "\"forgetting_factor\":1.0,\"forgetting_period\":240,\"update_threshold\"",
+        )
+        .replace(
+            "\"updates_skipped\"",
+            "\"since_forgetting\":17,\"updates_skipped\"",
+        )
 }
 
 /// Steps an engine over a fixed stream that walks on and off the
@@ -315,22 +328,34 @@ fn report_stream(snapshot: EngineSnapshot) -> Vec<StepReport> {
         .collect()
 }
 
-/// Snapshots and checkpoints that still carry the removed `row_format`
-/// and `parallel` keys load (serde ignores them), pass `gridwatch audit
-/// --checkpoint`, and score exactly as the same state without the keys:
-/// the keys selected an in-memory row representation and a threading
-/// mode, never persisted state.
+/// Snapshots and checkpoints that still carry the removed `row_format`,
+/// `parallel` and forgetting keys load (serde ignores them), pass
+/// `gridwatch audit --checkpoint`, and score exactly as the same state
+/// without the keys: the first two selected an in-memory row
+/// representation and a threading mode, and no front ever set the
+/// forgetting factor below its no-op `1.0`. The committed compat
+/// checkpoint carries the forgetting keys as written.
 #[test]
-fn removed_row_format_and_parallel_keys_are_ignored() {
+fn removed_config_keys_are_ignored() {
+    let fixture = fs::read_to_string(compat("checkpoint/shard-0.json")).unwrap();
+    assert!(
+        fixture.contains("\"forgetting_factor\":1.0") && fixture.contains("\"since_forgetting\"")
+    );
     let original = trained();
     let models = original.models.len();
     let json = serde_json::to_string(&original).unwrap();
     assert!(!json.contains("row_format") && !json.contains("parallel"));
+    assert!(!json.contains("forgetting"));
     let injected = with_removed_knobs(&json);
     // One ModelConfig in the engine config, then a ModelConfig and a
     // TransitionMatrix per model; one EngineConfig.
     assert_eq!(injected.matches("\"row_format\"").count(), 1 + 2 * models);
     assert_eq!(injected.matches("\"parallel\"").count(), 1);
+    assert_eq!(
+        injected.matches("\"forgetting_period\"").count(),
+        1 + models
+    );
+    assert_eq!(injected.matches("\"since_forgetting\"").count(), models);
     let loaded: EngineSnapshot = serde_json::from_str(&injected).unwrap();
     assert_eq!(loaded, original);
     let expected = report_stream(original);

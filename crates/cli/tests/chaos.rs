@@ -62,7 +62,7 @@ fn per_regime_reports_are_pinned() {
          recall          0.009\n\
          rebuilds        2\n\
          false_rebuilds  0\n\
-         min_Q           0.343\n"
+         min_Q           0.331\n"
     );
     assert_eq!(
         eval_regime("skew"),
@@ -73,7 +73,7 @@ fn per_regime_reports_are_pinned() {
          recall          -\n\
          rebuilds        0\n\
          false_rebuilds  0\n\
-         min_Q           0.434\n"
+         min_Q           0.433\n"
     );
     assert_eq!(
         eval_regime("flapping"),
@@ -84,7 +84,7 @@ fn per_regime_reports_are_pinned() {
          recall          -\n\
          rebuilds        0\n\
          false_rebuilds  0\n\
-         min_Q           0.722\n"
+         min_Q           0.715\n"
     );
     assert_eq!(
         eval_regime("overload"),
@@ -95,18 +95,18 @@ fn per_regime_reports_are_pinned() {
          recall          -\n\
          rebuilds        0\n\
          false_rebuilds  0\n\
-         min_Q           0.375\n"
+         min_Q           0.362\n"
     );
     assert_eq!(
         eval_regime("cascade"),
         "regime          cascade\n\
          samples         240\n\
          delay_s         3960\n\
-         precision       0.875\n\
+         precision       0.778\n\
          recall          0.175\n\
          rebuilds        0\n\
          false_rebuilds  0\n\
-         min_Q           0.390\n"
+         min_Q           0.244\n"
     );
 }
 
@@ -126,11 +126,11 @@ fn full_sweep_passes_every_shape_check_and_the_table_is_pinned() {
     let table = "\
   regime  samples  delay_s  precision  recall  rebuilds  false_rebuilds  min_Q
 ------------------------------------------------------------------------------
-   drift      240    46080      1.000   0.009         2               0  0.343
-    skew      240        -      0.000       -         0               0  0.434
-flapping      150        -          -       -         0               0  0.722
-overload      240        -      0.000       -         0               0  0.375
- cascade      240     3960      0.875   0.175         0               0  0.390";
+   drift      240    46080      1.000   0.009         2               0  0.331
+    skew      240        -      0.000       -         0               0  0.433
+flapping      150        -          -       -         0               0  0.715
+overload      240        -      0.000       -         0               0  0.362
+ cascade      240     3960      0.778   0.175         0               0  0.244";
     assert!(
         stdout.contains(table),
         "pinned table missing from:\n{stdout}"

@@ -83,11 +83,12 @@ fn full_workflow_detects_the_injected_fault() {
         &updated,
     ]));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    // Pinned for this seed with exact posterior rows: a row
-    // representation that flattens the low-probability tail still
-    // raises *an* alarm, but fewer, and never sees fitness this low.
+    // Pinned for this seed with ranks taken on the exact log rows: a
+    // scorer that flattens the low-probability tail (quantised rows, or
+    // normalised rows whose `exp` underflows to tied zeros) still raises
+    // *an* alarm, but fewer.
     let alarm_lines = text.lines().filter(|l| l.starts_with("ALARM")).count();
-    assert_eq!(alarm_lines, 9, "{text}");
+    assert_eq!(alarm_lines, 13, "{text}");
     assert!(
         text.contains("lowest system fitness: 0.6367 at d15+12:06:00"),
         "{text}"

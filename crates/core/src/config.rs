@@ -39,14 +39,6 @@ pub struct ModelConfig {
     /// all (the paper's *Adaptive* mode) or scores without learning
     /// (*Offline* mode, Figure 13a).
     pub adaptive: bool,
-    /// Forgetting factor in `(0, 1]` applied to all observation counts
-    /// every [`ModelConfig::forgetting_period`] online observations
-    /// (adaptive mode only). `1.0` disables forgetting. An extension of
-    /// the paper's online adaptation for slowly drifting systems.
-    pub forgetting_factor: f64,
-    /// How many online observations between forgetting passes (default:
-    /// one day of 6-minute samples).
-    pub forgetting_period: u64,
 }
 
 impl Default for ModelConfig {
@@ -58,8 +50,6 @@ impl Default for ModelConfig {
             growth: GrowthPolicy::default(),
             update_threshold: 0.0,
             adaptive: true,
-            forgetting_factor: 1.0,
-            forgetting_period: 240,
         }
     }
 }
@@ -107,19 +97,6 @@ impl ModelConfig {
                 ),
             });
         }
-        if !(self.forgetting_factor > 0.0 && self.forgetting_factor <= 1.0) {
-            return Err(ModelError::InvalidConfig {
-                reason: format!(
-                    "forgetting_factor must be in (0, 1], got {}",
-                    self.forgetting_factor
-                ),
-            });
-        }
-        if self.forgetting_period == 0 {
-            return Err(ModelError::InvalidConfig {
-                reason: "forgetting_period must be positive".into(),
-            });
-        }
         Ok(())
     }
 }
@@ -164,19 +141,6 @@ impl ModelConfigBuilder {
     /// Sets adaptive (online-learning) mode on or off.
     pub fn adaptive(mut self, adaptive: bool) -> Self {
         self.config.adaptive = adaptive;
-        self
-    }
-
-    /// Sets the forgetting factor (see
-    /// [`ModelConfig::forgetting_factor`]).
-    pub fn forgetting_factor(mut self, factor: f64) -> Self {
-        self.config.forgetting_factor = factor;
-        self
-    }
-
-    /// Sets the forgetting period, in online observations.
-    pub fn forgetting_period(mut self, period: u64) -> Self {
-        self.config.forgetting_period = period;
         self
     }
 

@@ -6,10 +6,15 @@
 //! probable destination scores 1, the least probable scores `1/s`, and
 //! points that fall outside the grid score 0.
 //!
-//! Ties use *competition ranking*: cells with equal probability share the
-//! best rank among them, so the score does not depend on an arbitrary
-//! internal ordering. (The paper's worked example, Figure 11, has no ties;
-//! this module's tests reproduce it exactly.)
+//! The scorer ranks the *log* row `l_j = ln P(c_i → c_j) + const`, which
+//! orders cells exactly as the probabilities do without the `exp` that
+//! would underflow the row's tail to `0.0` and tie its least probable
+//! cells. A probability is normalised only where a caller reads one.
+//!
+//! Ties use *competition ranking*: cells with equal value share the best
+//! rank among them, so the score does not depend on an arbitrary internal
+//! ordering. (The paper's worked example, Figure 11, has no ties; this
+//! module's tests reproduce it exactly.)
 
 use gridwatch_grid::CellId;
 use serde::{Deserialize, Serialize};
@@ -18,7 +23,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransitionScore {
     fitness: f64,
-    probability: f64,
+    probability: Option<f64>,
     rank: Option<usize>,
     cell_count: usize,
     destination: Option<CellId>,
@@ -26,27 +31,27 @@ pub struct TransitionScore {
 
 impl TransitionScore {
     /// A score for a destination inside the grid.
-    pub(crate) fn in_grid(
-        fitness: f64,
-        probability: f64,
-        rank: usize,
-        cell_count: usize,
-        destination: CellId,
-    ) -> Self {
+    fn in_grid(fitness: f64, rank: usize, cell_count: usize, destination: CellId) -> Self {
         TransitionScore {
             fitness,
-            probability,
+            probability: None,
             rank: Some(rank),
             cell_count,
             destination: Some(destination),
         }
     }
 
+    /// This score with the destination's normalised probability attached.
+    pub(crate) fn with_probability(mut self, probability: f64) -> Self {
+        self.probability = Some(probability);
+        self
+    }
+
     /// The zero score the paper assigns to out-of-grid outliers.
     pub(crate) fn outlier(cell_count: usize) -> Self {
         TransitionScore {
             fitness: 0.0,
-            probability: 0.0,
+            probability: Some(0.0),
             rank: None,
             cell_count,
             destination: None,
@@ -58,9 +63,11 @@ impl TransitionScore {
         self.fitness
     }
 
-    /// The model's transition probability `P(x_t → x_{t+1})`; 0 for
-    /// outliers.
-    pub fn probability(&self) -> f64 {
+    /// The model's transition probability `P(x_t → x_{t+1})`: `Some(0.0)`
+    /// for outliers, and `None` when the scorer ranked the log row without
+    /// normalising it (the online path does so unless the update
+    /// threshold `δ` is positive).
+    pub fn probability(&self) -> Option<f64> {
         self.probability
     }
 
@@ -87,7 +94,9 @@ impl TransitionScore {
 }
 
 /// The competition rank (1-based) of `destination` when cells are ordered
-/// by decreasing probability: `1 + #{j : p_j > p_dest}`.
+/// by decreasing value: `1 + #{j : v_j > v_dest}`. `row` is a probability
+/// row or a log row; the two rank alike wherever `exp` keeps distinct log
+/// values distinct.
 ///
 /// # Panics
 ///
@@ -111,13 +120,12 @@ pub fn fitness_from_rank(rank: usize, cell_count: usize) -> f64 {
     1.0 - (rank - 1) as f64 / cell_count as f64
 }
 
-/// Scores a destination cell against a probability row: computes the rank
-/// and fitness in one pass.
+/// Scores a destination cell against a log (or probability) row: the rank
+/// and fitness, without a probability.
 pub fn score_row(row: &[f64], destination: CellId) -> TransitionScore {
     let rank = rank_of_destination(row, destination);
     TransitionScore::in_grid(
         fitness_from_rank(rank, row.len()),
-        row[destination.index()],
         rank,
         row.len(),
         destination,
@@ -145,7 +153,7 @@ mod tests {
                 s.fitness(),
                 expected_fitness[j]
             );
-            assert_eq!(s.probability(), row[j]);
+            assert_eq!(s.probability(), None);
             assert!(!s.is_outlier());
         }
     }
@@ -181,7 +189,7 @@ mod tests {
     fn outlier_scores_zero() {
         let s = TransitionScore::outlier(9);
         assert_eq!(s.fitness(), 0.0);
-        assert_eq!(s.probability(), 0.0);
+        assert_eq!(s.probability(), Some(0.0));
         assert_eq!(s.rank(), None);
         assert!(s.is_outlier());
         assert_eq!(s.cell_count(), 9);

@@ -4,7 +4,7 @@ use gridwatch_grid::{CellId, DecayKernel, GridStructure};
 use serde::{Deserialize, Serialize};
 
 use crate::fitness::{score_row, TransitionScore};
-use crate::prior::{log_prior_row, normalize_log_row};
+use crate::prior::{log_row_probability, normalize_log_row};
 
 /// The transition probability matrix `V` with `V[i][j] = P(c_i → c_j)`,
 /// stored sparsely.
@@ -23,9 +23,12 @@ use crate::prior::{log_prior_row, normalize_log_row};
 /// where `K` is the decay kernel (prior term from the spatial-closeness
 /// prior, one likelihood term per observation — Eq. 1 and Eq. 2 of the
 /// paper in log space). So it suffices to store, per visited row, the
-/// *count of observations per destination cell*; full rows are
-/// materialized lazily in `O(s · distinct_destinations)` and memoized
-/// until the row changes.
+/// *count of observations per destination cell*. A row is materialized
+/// as this *log row* (without the normalizer) in `O(s · (1 +
+/// distinct_destinations))` lookups into a per-grid-shape table of
+/// `ln K` by `(|dx|, |dy|)`, and scored by ranking it: normalising would
+/// only add `s` `exp`s that underflow the tail to ties. Only callers that
+/// read a probability normalise.
 ///
 /// # Example
 ///
@@ -39,7 +42,7 @@ use crate::prior::{log_prior_row, normalize_log_row};
 /// for _ in 0..20 {
 ///     v.observe(CellId(4), CellId(1));
 /// }
-/// let row = v.row(&grid, CellId(4));
+/// let row = v.probability_row(&grid, CellId(4));
 /// let best = row
 ///     .iter()
 ///     .enumerate()
@@ -47,6 +50,7 @@ use crate::prior::{log_prior_row, normalize_log_row};
 ///     .unwrap()
 ///     .0;
 /// assert_eq!(best, 1, "mass concentrates on the observed destination");
+/// assert_eq!(v.score(&grid, CellId(4), CellId(1)).rank(), Some(1));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransitionMatrix {
@@ -56,10 +60,94 @@ pub struct TransitionMatrix {
     /// transitions from cell `i` to cell `h`. Rows never observed are
     /// absent and equal to the prior.
     counts: BTreeMap<usize, BTreeMap<usize, u64>>,
-    /// Memoized materialized rows, invalidated on update/remap.
+    /// Memoized log rows of [`TransitionMatrix::score`], invalidated on
+    /// update/remap.
     #[serde(skip)]
     row_cache: HashMap<usize, Vec<f64>>,
+    /// `ln K` for the grid shape last scored against.
+    #[serde(skip)]
+    table: KernelTable,
+    /// The log row [`TransitionMatrix::score_fresh`] ranks, reused.
+    #[serde(skip)]
+    scratch: Vec<f64>,
     total_observations: u64,
+}
+
+/// `DecayKernel::log_weight` by `(|dx|, |dy|)` for one grid shape. Every
+/// kernel depends on an offset only through its absolute values, so a
+/// `columns × rows` grid needs at most `columns × rows` weights, and a
+/// lookup returns the very bits `log_weight` would.
+#[derive(Debug, Clone, Default)]
+struct KernelTable {
+    columns: usize,
+    rows: usize,
+    /// `log_weight(w, dx, dy)` at `dy * columns + dx`.
+    log_weights: Vec<f64>,
+}
+
+impl KernelTable {
+    fn new(kernel: DecayKernel, decay_rate: f64, grid: &GridStructure) -> Self {
+        let (columns, rows) = (grid.columns(), grid.rows());
+        let log_weights = (0..rows as i64)
+            .flat_map(|dy| (0..columns as i64).map(move |dx| kernel.log_weight(decay_rate, dx, dy)))
+            .collect();
+        KernelTable {
+            columns,
+            rows,
+            log_weights,
+        }
+    }
+
+    fn fits(&self, grid: &GridStructure) -> bool {
+        self.columns == grid.columns() && self.rows == grid.rows()
+    }
+
+    /// Writes the log row of `from` into `out`: the prior `−ln K(from, ·)`,
+    /// then `−n · ln K(h, ·)` per observed destination `h` in increasing
+    /// order — the operands and order of the paper's Eq. 1, so the row is
+    /// bit-identical to one built from `log_weight` directly.
+    fn log_row_into(
+        &self,
+        from: usize,
+        observed: Option<&BTreeMap<usize, u64>>,
+        out: &mut Vec<f64>,
+    ) {
+        let s = self.columns * self.rows;
+        out.clear();
+        out.resize(s, 0.0);
+        self.each_weight(from, out, |l, lw| *l = -lw);
+        for (&h, &n) in observed.into_iter().flatten() {
+            // Guard against stale indices (can only happen on misuse;
+            // remap keeps indices in range).
+            if h >= s {
+                continue;
+            }
+            let n = n as f64;
+            self.each_weight(h, out, |l, lw| *l -= n * lw);
+        }
+    }
+
+    /// Calls `f(&mut row[j], ln K(center, c_j))` for every cell `j`.
+    fn each_weight(&self, center: usize, row: &mut [f64], f: impl Fn(&mut f64, f64)) {
+        let (cc, cr) = (center % self.columns, center / self.columns);
+        for (r, cells) in row.chunks_exact_mut(self.columns).enumerate() {
+            let start = r.abs_diff(cr) * self.columns;
+            let weights = &self.log_weights[start..start + self.columns];
+            // Left of the centre column the offset counts down to 1, from
+            // it rightwards it counts up from 0.
+            let (left, right) = cells.split_at_mut(cc);
+            for (l, &lw) in left.iter_mut().zip(weights[1..=cc].iter().rev()) {
+                f(l, lw);
+            }
+            for (l, &lw) in right.iter_mut().zip(weights) {
+                f(l, lw);
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.log_weights.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 impl TransitionMatrix {
@@ -75,6 +163,8 @@ impl TransitionMatrix {
             decay_rate,
             counts: BTreeMap::new(),
             row_cache: HashMap::new(),
+            table: KernelTable::default(),
+            scratch: Vec::new(),
             total_observations: 0,
         }
     }
@@ -134,7 +224,9 @@ impl TransitionMatrix {
             .entry(to.index())
             .or_insert(0) += 1;
         self.total_observations += 1;
-        self.row_cache.remove(&from.index());
+        if !self.row_cache.is_empty() {
+            self.row_cache.remove(&from.index());
+        }
     }
 
     /// Number of observed transitions from `from` to `to`.
@@ -146,78 +238,117 @@ impl TransitionMatrix {
             .unwrap_or(0)
     }
 
-    /// The posterior distribution `P(from → ·)` over all cells of `grid`,
-    /// in flat cell order, computed lazily and memoized.
+    /// The posterior log row `ln P(from → ·) + const` over all cells of
+    /// `grid`, in flat cell order, computed lazily and memoized.
     ///
     /// # Panics
     ///
     /// Panics if `from` is outside the grid's cell range.
-    pub fn row(&mut self, grid: &GridStructure, from: CellId) -> &[f64] {
+    pub fn log_row(&mut self, grid: &GridStructure, from: CellId) -> &[f64] {
         assert!(from.index() < grid.cell_count(), "row out of range");
-        if !self.row_cache.contains_key(&from.index()) {
-            let row = self.compute_row(grid, from);
-            self.row_cache.insert(from.index(), row);
-        }
-        #[expect(clippy::expect_used, reason = "the row is inserted just above")]
-        self.row_cache
-            .get(&from.index())
-            .expect("row inserted above")
+        self.refresh_table(grid);
+        let (table, counts) = (&self.table, &self.counts);
+        self.row_cache.entry(from.index()).or_insert_with(|| {
+            let mut row = Vec::new();
+            table.log_row_into(from.index(), counts.get(&from.index()), &mut row);
+            row
+        })
     }
 
-    /// Computes the posterior row without touching the cache (`&self`
-    /// variant of [`TransitionMatrix::row`]).
+    /// Computes the posterior log row without touching the memo (`&self`
+    /// variant of [`TransitionMatrix::log_row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is outside the grid's cell range.
     pub fn compute_row(&self, grid: &GridStructure, from: CellId) -> Vec<f64> {
-        let mut log_row = log_prior_row(grid, self.kernel, self.decay_rate, from);
-        if let Some(obs) = self.counts.get(&from.index()) {
-            for (&h, &n) in obs {
-                let h_cell = CellId(h);
-                // Guard against stale indices (can only happen on misuse;
-                // remap keeps indices in range).
-                if h >= grid.cell_count() {
-                    continue;
-                }
-                let n = n as f64;
-                for (j, l) in log_row.iter_mut().enumerate() {
-                    let (dx, dy) = grid.offset(h_cell, CellId(j));
-                    *l -= n * self.kernel.log_weight(self.decay_rate, dx, dy);
-                }
-            }
-        }
-        normalize_log_row(&log_row)
+        assert!(from.index() < grid.cell_count(), "row out of range");
+        let built;
+        let table = if self.table.fits(grid) {
+            &self.table
+        } else {
+            built = KernelTable::new(self.kernel, self.decay_rate, grid);
+            &built
+        };
+        let mut row = Vec::new();
+        table.log_row_into(from.index(), self.counts.get(&from.index()), &mut row);
+        row
     }
 
-    /// The probability `P(from → to)`.
-    pub fn probability(&mut self, grid: &GridStructure, from: CellId, to: CellId) -> f64 {
-        self.row(grid, from)[to.index()]
+    /// The posterior distribution `P(from → ·)`: the normalized
+    /// [`TransitionMatrix::compute_row`].
+    pub fn probability_row(&self, grid: &GridStructure, from: CellId) -> Vec<f64> {
+        normalize_log_row(&self.compute_row(grid, from))
     }
 
     /// Scores the transition `from → to`: the rank-based fitness of `to`
-    /// in the memoized posterior row, exactly
-    /// `score_row(self.row(grid, from), to)`.
+    /// in the memoized log row, exactly
+    /// `score_row(&self.compute_row(grid, from), to)`. For models that do
+    /// not learn; see [`TransitionMatrix::score_fresh`].
     ///
     /// # Panics
     ///
     /// Panics if `from` or `to` is outside the grid's cell range.
     pub fn score(&mut self, grid: &GridStructure, from: CellId, to: CellId) -> TransitionScore {
         assert!(to.index() < grid.cell_count(), "destination out of range");
-        score_row(self.row(grid, from), to)
+        score_row(self.log_row(grid, from), to)
     }
 
-    /// Approximate bytes held by the memoized rows (the integer counts,
-    /// the persisted state, are not included).
+    /// [`TransitionMatrix::score`] for a caller about to
+    /// [`TransitionMatrix::observe`] `from`, which would invalidate a
+    /// memoized row: ranks a log row built in a reused buffer and memoizes
+    /// nothing. With `with_probability` the score also carries `to`'s
+    /// normalized probability.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is outside the grid's cell range.
+    pub fn score_fresh(
+        &mut self,
+        grid: &GridStructure,
+        from: CellId,
+        to: CellId,
+        with_probability: bool,
+    ) -> TransitionScore {
+        assert!(from.index() < grid.cell_count(), "row out of range");
+        assert!(to.index() < grid.cell_count(), "destination out of range");
+        self.refresh_table(grid);
+        self.table.log_row_into(
+            from.index(),
+            self.counts.get(&from.index()),
+            &mut self.scratch,
+        );
+        let score = score_row(&self.scratch, to);
+        if with_probability {
+            score.with_probability(log_row_probability(&self.scratch, to.index()))
+        } else {
+            score
+        }
+    }
+
+    /// Approximate heap bytes of the state derived from the counts and
+    /// never persisted: the memoized log rows, the kernel table and the
+    /// scoring buffer.
     pub fn approx_row_cache_bytes(&self) -> usize {
-        self.row_cache
-            .values()
-            .map(|r| r.capacity() * std::mem::size_of::<f64>())
-            .sum()
+        let f64s: usize =
+            self.row_cache.values().map(Vec::capacity).sum::<usize>() + self.scratch.capacity();
+        f64s * std::mem::size_of::<f64>() + self.table.bytes()
     }
 
-    /// Exports the full dense matrix (row-major); intended for small
-    /// grids, reporting, and tests.
+    /// Exports the full dense probability matrix (row-major); intended for
+    /// small grids, reporting, and tests.
     pub fn to_dense(&self, grid: &GridStructure) -> Vec<Vec<f64>> {
         grid.cells()
-            .map(|from| self.compute_row(grid, from))
+            .map(|from| self.probability_row(grid, from))
             .collect()
+    }
+
+    /// Rebuilds the kernel table if `grid` has another shape than the one
+    /// it was built for.
+    fn refresh_table(&mut self, grid: &GridStructure) {
+        if !self.table.fits(grid) {
+            self.table = KernelTable::new(self.kernel, self.decay_rate, grid);
+        }
     }
 
     /// Remaps all stored cell indices after the grid grew.
@@ -260,47 +391,6 @@ impl TransitionMatrix {
     pub fn clear_cache(&mut self) {
         self.row_cache.clear();
     }
-
-    /// Exponentially decays all observation counts by `factor` in
-    /// `(0, 1]`, dropping entries that fall below one half observation.
-    ///
-    /// This implements *forgetting*: the paper adapts the model "online
-    /// to the distribution changes", and on slowly drifting systems old
-    /// transitions should stop dominating the posterior. Calling this
-    /// once per day with, say, `factor = 0.98` halves the weight of
-    /// month-old observations. A factor of `1.0` is a no-op. Counts decay
-    /// by integer rounding, so rare old transitions vanish entirely while
-    /// frequent ones shrink proportionally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn decay_counts(&mut self, factor: f64) {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "forgetting factor must be in (0, 1], got {factor}"
-        );
-        if gridwatch_grid::float::approx_one(factor) {
-            return;
-        }
-        let mut removed = 0u64;
-        for row in self.counts.values_mut() {
-            row.retain(|_, n| {
-                let decayed = (*n as f64 * factor).round() as u64;
-                if decayed == 0 {
-                    removed += *n;
-                    false
-                } else {
-                    removed += *n - decayed;
-                    *n = decayed;
-                    true
-                }
-            });
-        }
-        self.counts.retain(|_, row| !row.is_empty());
-        self.total_observations = self.total_observations.saturating_sub(removed);
-        self.clear_cache();
-    }
 }
 
 impl PartialEq for TransitionMatrix {
@@ -326,8 +416,8 @@ mod tests {
     #[test]
     fn fresh_matrix_equals_prior() {
         let grid = grid3x3();
-        let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
-        let row = v.row(&grid, CellId(4)).to_vec();
+        let v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
+        let row = v.probability_row(&grid, CellId(4));
         let prior = crate::prior::prior_row(&grid, DecayKernel::MeanAxis, 2.0, CellId(4));
         for (a, b) in row.iter().zip(&prior) {
             assert!((a - b).abs() < 1e-12);
@@ -342,7 +432,7 @@ mod tests {
             v.observe(CellId(k % 9), CellId((k * 3) % 9));
         }
         for from in grid.cells() {
-            let sum: f64 = v.row(&grid, from).iter().sum();
+            let sum: f64 = v.probability_row(&grid, from).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {from} sums to {sum}");
         }
     }
@@ -368,7 +458,7 @@ mod tests {
         for _ in 0..10 {
             v.observe(from, to);
         }
-        let row = v.row(&grid, from);
+        let row = v.log_row(&grid, from);
         let post_peak = row
             .iter()
             .enumerate()
@@ -395,10 +485,10 @@ mod tests {
     fn cache_is_invalidated_by_observe() {
         let grid = grid3x3();
         let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
-        let before = v.row(&grid, CellId(0)).to_vec();
+        let before = v.score(&grid, CellId(0), CellId(8)).rank().unwrap();
         v.observe(CellId(0), CellId(8));
-        let after = v.row(&grid, CellId(0)).to_vec();
-        assert!(after[8] > before[8]);
+        let after = v.score(&grid, CellId(0), CellId(8)).rank().unwrap();
+        assert!(after < before, "rank {before} -> {after}");
     }
 
     #[test]
@@ -435,8 +525,8 @@ mod tests {
         let dense = v.to_dense(&grid);
         assert_eq!(dense.len(), 9);
         for (i, row) in dense.iter().enumerate() {
-            let live = v.row(&grid, CellId(i));
-            for (a, b) in row.iter().zip(live) {
+            let live = normalize_log_row(v.log_row(&grid, CellId(i)));
+            for (a, b) in row.iter().zip(&live) {
                 assert!((a - b).abs() < 1e-12);
             }
         }
@@ -452,8 +542,8 @@ mod tests {
         let json = serde_json::to_string(&v).unwrap();
         let mut back: TransitionMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(v, back);
-        let a = v.row(&grid, CellId(0)).to_vec();
-        let b = back.row(&grid, CellId(0)).to_vec();
+        let a = v.log_row(&grid, CellId(0)).to_vec();
+        let b = back.log_row(&grid, CellId(0)).to_vec();
         assert_eq!(a, b);
     }
 
@@ -472,9 +562,15 @@ mod tests {
             v.observe(CellId(k % 9), CellId((k * 5 + 2) % 9));
         }
         for from in grid.cells() {
+            let row = v.compute_row(&grid, from);
+            let dense = normalize_log_row(&row);
             for to in grid.cells() {
-                let expected = score_row(&v.compute_row(&grid, from), to);
+                let expected = score_row(&row, to);
                 assert_eq!(v.score(&grid, from, to), expected);
+                assert_eq!(v.score_fresh(&grid, from, to, false), expected);
+                let with_p = v.score_fresh(&grid, from, to, true);
+                assert_eq!(with_p.probability(), Some(dense[to.index()]));
+                assert_eq!(with_p.rank(), expected.rank());
             }
         }
     }

@@ -3,6 +3,7 @@ use gridwatch_timeseries::{PairSeries, Point2};
 use serde::{Deserialize, Serialize};
 
 use crate::fitness::{score_row, TransitionScore};
+use crate::prior::log_row_probability;
 use crate::{CellRanges, ModelConfig, ModelError, TransitionMatrix};
 
 /// The outcome of one online observation step
@@ -54,9 +55,6 @@ pub struct TransitionModel {
     outliers: u64,
     extensions: u64,
     updates_skipped: u64,
-    /// Online observations since the last forgetting pass.
-    #[serde(default)]
-    since_forgetting: u64,
 }
 
 impl TransitionModel {
@@ -103,7 +101,6 @@ impl TransitionModel {
             outliers: 0,
             extensions: 0,
             updates_skipped: 0,
-            since_forgetting: 0,
         })
     }
 
@@ -126,7 +123,6 @@ impl TransitionModel {
             outliers: 0,
             extensions: 0,
             updates_skipped: 0,
-            since_forgetting: 0,
         })
     }
 
@@ -217,7 +213,17 @@ impl TransitionModel {
             (self.grid.locate(p), false)
         };
 
+        // An adaptive model is about to update the row it scores, so the
+        // row is not memoized; its probability is only needed against a
+        // positive threshold `δ`.
+        let threshold = self.config.update_threshold;
         let score = match (self.last_cell, dest) {
+            (Some(from), Some(to)) if self.config.adaptive => {
+                Some(
+                    self.matrix
+                        .score_fresh(&self.grid, from, to, threshold > 0.0),
+                )
+            }
             (Some(from), Some(to)) => Some(self.matrix.score(&self.grid, from, to)),
             (Some(_), None) => Some(TransitionScore::outlier(self.grid.cell_count())),
             (None, _) => None,
@@ -227,7 +233,7 @@ impl TransitionModel {
         let mut updated = false;
         if let (Some(from), Some(to), Some(s)) = (self.last_cell, dest, score) {
             if self.config.adaptive {
-                if s.probability() >= self.config.update_threshold {
+                if s.probability().is_none_or(|p| p >= threshold) {
                     self.matrix.observe(from, to);
                     updated = true;
                 } else {
@@ -239,15 +245,6 @@ impl TransitionModel {
         match dest {
             Some(c) => self.last_cell = Some(c),
             None => self.outliers += 1,
-        }
-
-        // Periodic forgetting (extension; no-op at factor 1.0).
-        if self.config.adaptive && self.config.forgetting_factor < 1.0 {
-            self.since_forgetting += 1;
-            if self.since_forgetting >= self.config.forgetting_period {
-                self.matrix.decay_counts(self.config.forgetting_factor);
-                self.since_forgetting = 0;
-            }
         }
 
         StepOutcome {
@@ -266,10 +263,7 @@ impl TransitionModel {
             return TransitionScore::outlier(self.grid.cell_count());
         };
         match self.grid.locate(p) {
-            Some(to) => {
-                let row = self.matrix.compute_row(&self.grid, from);
-                score_row(&row, to)
-            }
+            Some(to) => self.score_cells(from, to),
             None => TransitionScore::outlier(self.grid.cell_count()),
         }
     }
@@ -279,10 +273,7 @@ impl TransitionModel {
     pub fn score_transition(&self, from: Point2, to: Point2) -> Option<TransitionScore> {
         let ci = self.grid.locate(from)?;
         Some(match self.grid.locate(to) {
-            Some(cj) => {
-                let row = self.matrix.compute_row(&self.grid, ci);
-                score_row(&row, cj)
-            }
+            Some(cj) => self.score_cells(ci, cj),
             None => TransitionScore::outlier(self.grid.cell_count()),
         })
     }
@@ -291,9 +282,17 @@ impl TransitionModel {
     /// either is outside the grid.
     pub fn transition_probability(&self, from: Point2, to: Point2) -> f64 {
         match (self.grid.locate(from), self.grid.locate(to)) {
-            (Some(ci), Some(cj)) => self.matrix.compute_row(&self.grid, ci)[cj.index()],
+            (Some(ci), Some(cj)) => {
+                log_row_probability(&self.matrix.compute_row(&self.grid, ci), cj.index())
+            }
             _ => 0.0,
         }
+    }
+
+    /// Scores `from → to` from a fresh log row, with the probability.
+    fn score_cells(&self, from: CellId, to: CellId) -> TransitionScore {
+        let row = self.matrix.compute_row(&self.grid, from);
+        score_row(&row, to).with_probability(log_row_probability(&row, to.index()))
     }
 
     /// Human-readable value ranges of a cell, for the problem reports the

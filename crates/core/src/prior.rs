@@ -65,15 +65,30 @@ pub fn prior_matrix(grid: &GridStructure, kernel: DecayKernel, decay_rate: f64) 
 /// Converts an unnormalized log-probability row into a normalized
 /// probability row using the log-sum-exp trick.
 pub fn normalize_log_row(log_row: &[f64]) -> Vec<f64> {
+    match log_normalizer(log_row) {
+        Some(log_z) => log_row.iter().map(|&l| (l - log_z).exp()).collect(),
+        None => vec![1.0 / log_row.len() as f64; log_row.len()],
+    }
+}
+
+/// Entry `j` of [`normalize_log_row`] alone, bit for bit, without
+/// allocating a row.
+pub(crate) fn log_row_probability(log_row: &[f64], j: usize) -> f64 {
+    match log_normalizer(log_row) {
+        Some(log_z) => (log_row[j] - log_z).exp(),
+        None => 1.0 / log_row.len() as f64,
+    }
+}
+
+/// `ln Σ_j exp(l_j)` by log-sum-exp, or `None` when all mass vanished
+/// (the callers then fall back to uniform to stay a distribution).
+fn log_normalizer(log_row: &[f64]) -> Option<f64> {
     let max = log_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if !max.is_finite() {
-        // All mass vanished; fall back to uniform to stay a distribution.
-        let u = 1.0 / log_row.len() as f64;
-        return vec![u; log_row.len()];
+        return None;
     }
     let sum: f64 = log_row.iter().map(|&l| (l - max).exp()).sum();
-    let log_z = max + sum.ln();
-    log_row.iter().map(|&l| (l - log_z).exp()).collect()
+    Some(max + sum.ln())
 }
 
 #[cfg(test)]

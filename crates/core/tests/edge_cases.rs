@@ -99,9 +99,9 @@ fn matrix_cache_survives_clear() {
     let grid = GridStructure::uniform((0.0, 3.0), (0.0, 3.0), 3, 3);
     let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
     v.observe(CellId(0), CellId(4));
-    let row1 = v.row(&grid, CellId(0)).to_vec();
+    let row1 = v.log_row(&grid, CellId(0)).to_vec();
     v.clear_cache();
-    let row2 = v.row(&grid, CellId(0)).to_vec();
+    let row2 = v.log_row(&grid, CellId(0)).to_vec();
     assert_eq!(row1, row2);
 }
 
@@ -110,9 +110,9 @@ fn rectangular_grids_have_valid_priors() {
     // Tall-narrow and wide-short grids.
     for (cols, rows) in [(1usize, 12usize), (12, 1), (2, 9), (9, 2)] {
         let grid = GridStructure::uniform((0.0, 1.0), (0.0, 1.0), cols, rows);
-        let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
+        let v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
         for from in grid.cells() {
-            let sum: f64 = v.row(&grid, from).iter().sum();
+            let sum: f64 = v.probability_row(&grid, from).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{cols}x{rows} from {from}");
         }
     }

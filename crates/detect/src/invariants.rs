@@ -96,7 +96,7 @@ pub fn verify_model(model: &TransitionModel, max_rows: usize) -> Result<(), Stri
         }
     }
     for from in matrix.observed_sources().take(max_rows) {
-        let row = matrix.compute_row(grid, from);
+        let row = matrix.probability_row(grid, from);
         if let Err(why) = verify_row_stochastic(&row) {
             return Err(format!("row of {from}: {why}"));
         }

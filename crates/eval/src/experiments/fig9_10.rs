@@ -22,7 +22,7 @@ pub fn run() -> ExperimentResult {
     let to = CellId(9); // c10
 
     let mut matrix = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
-    let prior_row = matrix.compute_row(&grid, from);
+    let prior_row = matrix.probability_row(&grid, from);
 
     // Six days of 6-minute samples ≈ 1440 transitions; the paper's
     // walkthrough says "many transitions from c12 to c10 are observed".
@@ -37,7 +37,7 @@ pub fn run() -> ExperimentResult {
         };
         matrix.observe(from, dest);
     }
-    let posterior_row = matrix.row(&grid, from).to_vec();
+    let posterior_row = matrix.probability_row(&grid, from);
 
     let mut table = Table::new(
         "P(c12 -> c) before and after six days of updates",

@@ -45,11 +45,6 @@ pub fn approx_zero(x: f64) -> bool {
     x.abs() <= EPSILON
 }
 
-/// Whether `x` is one within [`EPSILON`].
-pub fn approx_one(x: f64) -> bool {
-    approx_eq(x, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,11 +64,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_one_helpers() {
+    fn zero_helper() {
         assert!(approx_zero(0.0));
         assert!(approx_zero(-1e-12));
         assert!(!approx_zero(1e-6));
-        assert!(approx_one(1.0 - 1e-12));
-        assert!(!approx_one(0.999));
     }
 }

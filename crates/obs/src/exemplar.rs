@@ -416,6 +416,11 @@ impl ExemplarTracer {
         }
     }
 
+    /// Traces opened and not yet finalized or evicted.
+    pub fn pending(&self) -> usize {
+        self.core.pending.lock().len()
+    }
+
     /// In-flight traces evicted before finalize (admission outran the
     /// pending table).
     pub fn pending_evicted(&self) -> u64 {

@@ -28,7 +28,9 @@ pub enum Stage {
     Decode,
     /// Per-source sequencing (dedup, reorder, gap handling).
     Sequence,
-    /// Fan-out of one snapshot to every shard queue.
+    /// Admission of one snapshot for fan-out to the shard queues
+    /// (sampling, the backpressure check, its sequence number). Time
+    /// blocked on a full queue is the backpressure-wait histogram's.
     Route,
     /// One shard scoring one snapshot against its pair models.
     Score,

@@ -559,6 +559,18 @@ impl Coordinator {
         .map_err(|e| FabricError::Protocol(format!("encode snapshot frame: {e}")))?;
         self.journal.push_back((seq, snapshot));
         self.stats.lock().submitted += 1;
+        // The trace opens, and routing ends, before any worker sees the
+        // frame, so a fast board's spans find the trace open and whole.
+        if obs.exemplar.is_enabled() {
+            obs.exemplar.open(seq, COORDINATOR_SOURCE, at_secs);
+            // The coordinator sequences at the merge barrier, not at a
+            // socket table; a zero-width Sequence slice keeps every
+            // trace covering the same seven stages. Ingest/decode come
+            // back with the workers' board spans.
+            let sequence = SpanSlice::new(Stage::Sequence, route.start_ns(), 0, COORDINATOR_SOURCE);
+            obs.exemplar.record(seq, sequence);
+        }
+        route.finish(seq, COORDINATOR_SOURCE);
         for shard in 0..self.shards {
             if !self.slots[shard].lock().live {
                 continue;
@@ -571,16 +583,6 @@ impl Coordinator {
                 self.mark_dead(shard);
             }
         }
-        if obs.exemplar.is_enabled() {
-            obs.exemplar.open(seq, COORDINATOR_SOURCE, at_secs);
-            // The coordinator sequences at the merge barrier, not at a
-            // socket table; a zero-width Sequence slice keeps every
-            // trace covering the same seven stages. Ingest/decode come
-            // back with the workers' board spans.
-            let sequence = SpanSlice::new(Stage::Sequence, route.start_ns(), 0, COORDINATOR_SOURCE);
-            obs.exemplar.record(seq, sequence);
-        }
-        route.finish(seq, COORDINATOR_SOURCE);
         Ok(seq)
     }
 

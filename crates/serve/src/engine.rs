@@ -365,10 +365,11 @@ impl ShardedEngine {
         let obs = self.probe.obs.clone();
         let at_secs = snapshot.at().as_secs();
         let route = obs.span(Stage::Route);
-        let report = self.submit_inner(snapshot);
-        // A shed or rejected snapshot has no trace to file the span
-        // under; dropping it still times the stage.
-        if let Some(seq) = report.seq {
+        // Routing ends at admission, and the trace is complete up to it
+        // before the first queue send: a fast shard's slices must find
+        // it open. A shed or rejected snapshot has no trace to file the
+        // span under; dropping it unfinished still times the stage.
+        self.submit_inner(snapshot, |seq| {
             if obs.exemplar.is_enabled() {
                 obs.exemplar.open(seq, source, at_secs);
                 for stage in [Stage::Ingest, Stage::Decode, Stage::Sequence] {
@@ -380,11 +381,13 @@ impl ShardedEngine {
                 obs.exemplar.record_slices(seq, wire_spans);
             }
             route.finish(seq, "ingest");
-        }
-        report
+        })
     }
 
-    fn submit_inner(&mut self, snapshot: Snapshot) -> IngestReport {
+    /// Routes one snapshot. `admitted(seq)` runs once the snapshot has
+    /// passed sampling and admission and holds its sequence number, before
+    /// any shard queue sees it; a shed or rejected snapshot never calls it.
+    fn submit_inner(&mut self, snapshot: Snapshot, admitted: impl FnOnce(u64)) -> IngestReport {
         // Sample every queue's depth up front: the distribution feeds
         // capacity planning, and `Reject` reuses the same reading for
         // its admission check.
@@ -409,7 +412,7 @@ impl ShardedEngine {
         }
         match self.config.backpressure {
             BackpressurePolicy::Block => {
-                let seq = self.broadcast_blocking(snapshot, &depths);
+                let seq = self.broadcast_blocking(snapshot, &depths, admitted);
                 IngestReport {
                     seq: Some(seq),
                     evicted: 0,
@@ -428,7 +431,7 @@ impl ShardedEngine {
                         sampled_out: false,
                     };
                 }
-                let seq = self.broadcast_blocking(snapshot, &depths);
+                let seq = self.broadcast_blocking(snapshot, &depths, admitted);
                 IngestReport {
                     seq: Some(seq),
                     evicted: 0,
@@ -438,6 +441,7 @@ impl ShardedEngine {
             BackpressurePolicy::DropOldest => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
+                admitted(seq);
                 let snap = Arc::new(snapshot);
                 let mut evicted_total = 0u64;
                 for (k, tx) in self.shard_senders.iter().enumerate() {
@@ -477,9 +481,15 @@ impl ShardedEngine {
     /// blocking on full queues. Each send tries the non-blocking path
     /// first so the (rare) blocked case can be timed: the wait is what
     /// the backpressure-wait distribution measures.
-    fn broadcast_blocking(&mut self, snapshot: Snapshot, depths: &[usize]) -> u64 {
+    fn broadcast_blocking(
+        &mut self,
+        snapshot: Snapshot,
+        depths: &[usize],
+        admitted: impl FnOnce(u64),
+    ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        admitted(seq);
         let snap = Arc::new(snapshot);
         let mut waits: Vec<(usize, u64)> = Vec::new();
         for (k, tx) in self.shard_senders.iter().enumerate() {
@@ -1403,6 +1413,51 @@ mod tests {
         // The exemplar layer never touches the aggregate tracer.
         for (_, hist) in obs.tracer.snapshot() {
             assert_eq!(hist.count, 0);
+        }
+    }
+
+    /// Traces open only for admitted snapshots: with sampling and a
+    /// rejecting one-slot queue, every seq the engine handed out is
+    /// retained whole (head sampling keeps all), and nothing is left
+    /// pending for a snapshot that was shed or rejected.
+    #[test]
+    fn shed_and_rejected_snapshots_leave_no_pending_trace() {
+        let snapshot = trained();
+        let trace = trace(48);
+        let obs = gridwatch_obs::PipelineObs {
+            exemplar: gridwatch_obs::ExemplarTracer::enabled(gridwatch_obs::ExemplarConfig {
+                ring_capacity: 64,
+                head_sample_every: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let mut engine = ShardedEngine::start_with_obs(
+            snapshot,
+            ServeConfig {
+                shards: 2,
+                queue_capacity: 1,
+                backpressure: BackpressurePolicy::Reject,
+                sampling: Some(SamplingConfig {
+                    watermark_pct: 100,
+                    stride: 2,
+                }),
+            },
+            obs.clone(),
+        );
+        let admitted: Vec<u64> = trace
+            .iter()
+            .filter_map(|snap| engine.submit(snap.clone()).seq)
+            .collect();
+        engine.shutdown();
+        assert_eq!(obs.exemplar.pending(), 0);
+        let (_, exemplars) = obs.exemplar.snapshot_indexed();
+        let retained: Vec<u64> = exemplars.iter().map(|t| t.seq).collect();
+        assert_eq!(retained, admitted);
+        for trace in &exemplars {
+            for stage in Stage::ALL {
+                assert!(trace.spans.iter().any(|s| s.stage == stage.name()));
+            }
         }
     }
 

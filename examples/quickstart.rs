@@ -36,24 +36,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let broken_score = model
         .score_transition(from, Point2::new(61.0, 50.0))
         .expect("starting point is inside the grid");
+    // `score_transition` normalises the row, so both carry a probability.
+    let normal_probability = normal_score.probability().expect("normalised");
+    let broken_probability = broken_score.probability().expect("normalised");
     println!(
         "normal transition: fitness {:.3}, probability {:.3e} (rank {:?} of {})",
         normal_score.fitness(),
-        normal_score.probability(),
+        normal_probability,
         normal_score.rank(),
         normal_score.cell_count()
     );
     println!(
         "broken transition: fitness {:.3}, probability {:.3e} (rank {:?} of {})",
         broken_score.fitness(),
-        broken_score.probability(),
+        broken_probability,
         broken_score.rank(),
         broken_score.cell_count()
     );
     // The paper alarms when P(x_t -> x_{t+1}) drops below a threshold δ;
     // the broken transition's probability collapses even when its
     // rank-based fitness only dips.
-    assert!(broken_score.probability() < normal_score.probability() / 10.0);
+    assert!(broken_probability < normal_probability / 10.0);
     // Online use updates the model as data streams in.
     let outcome = model.observe(Point2::new(60.0, 125.0));
     println!(
