@@ -34,11 +34,9 @@ echo "==> cargo clippy --workspace -- -D warnings"
 # clippy.toml's unbounded channel constructors and silent #[allow]s at
 # their crate roots; each justified site carries #[expect(…, reason)],
 # and a fixed site fails here as an unfulfilled expectation.
+# Dev-profile clippy compiles the debug-only leaf check in gridwatch-sync
+# (its fail-stop panic! and the #[expect] on it) too.
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy with the lockdep validator compiled in"
-# sync's fail-stop panic! (and its #[expect]) exists only under validate.
-cargo clippy -p gridwatch-sync -p gridwatch-serve --features validate --lib -- -D warnings
 
 echo "==> runtime lint policy: one identical deny block per runtime crate root"
 # The crate roots are the single source of the lint list: the runtime
@@ -60,16 +58,16 @@ grep -rhoE 'expect\(clippy::[a-z_]+' "${lint_roots[@]%/lib.rs}" \
         END { print "lint expectations over " crates " crates: " s " (goal: 0)" }'
 
 echo "==> gridwatch audit: concurrency pass"
-# Prints the concurrency trend line; fails on any lock-order cycle or
-# blocking call under a held guard.
+# Prints the concurrency trend line; fails on any lock taken or blocking
+# call made under a held guard (locks are leaves).
 cargo run -q -p gridwatch-cli -- audit --root .
 
 echo "==> gridwatch audit: fixture self-check"
-# The bad corpus must FAIL with both rules (the seeded AB/BA lock
-# inversion and the guards held across blocking calls) and the good
-# corpus must pass (proves they don't over-fire).
+# The bad corpus must FAIL with both rules (the seeded nesting and the
+# guards held across blocking calls) and the good corpus must pass
+# (proves they don't over-fire).
 bad_out=$(cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/bad 2> /dev/null || true)
-for rule in lock-cycle blocking-under-lock; do
+for rule in nested-lock blocking-under-lock; do
     if ! grep -q "\[$rule\]" <<< "$bad_out"; then
         echo "audit self-check FAILED: $rule not flagged in the bad corpus" >&2
         exit 1
@@ -81,9 +79,8 @@ if cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/ba
 fi
 cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/good > /dev/null
 
-echo "==> runtime lockdep unit tests (rank table + inversion panics)"
+echo "==> leaf rule at runtime: nesting and re-locking panic before blocking"
 cargo test -q -p gridwatch-sync
-cargo test -q -p gridwatch-sync --features validate
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -114,34 +111,26 @@ find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     !in_tests { n++ }
     END { print "non-test source lines: " n }'
 
-echo "==> observability goldens (exposition format + stats schema)"
-cargo test -q -p gridwatch-serve --lib -- \
-    prometheus_exposition_is_pinned stats_dump_schema_is_pinned \
-    fabric_exposition_is_pinned worker_exposition_is_pinned
-cargo test -q -p gridwatch-obs --lib -- burn_exposition_is_pinned healthz_json_schema_is_pinned
+echo "==> every test of the crates that hold locks, leaf check armed (single-threaded)"
+# A debug build arms gridwatch-sync's leaf check, so a nested lock on any
+# path these tests execute panics with both sites. This covers the
+# observability goldens (exposition format, stats schema, burn, healthz),
+# network fault injection and the wire round trip, the multi-process
+# shard fabric, the history sink, sampling, sketch promotion parity,
+# trace exemplars, and serve's equivalence, recovery and sequencing
+# suites.
+cargo test -q -p gridwatch-serve -p gridwatch-obs -- --test-threads=1
 
 echo "==> observability overhead gate (disabled tracing + exemplars must be free)"
 # Hard-gates both disabled hot paths at <= 15ns/step and prints the
 # fourth CI trend line: exemplar posture (retained / dropped / bytes).
 cargo bench -q -p gridwatch-bench --bench obs_overhead
 
-echo "==> network fault injection (single-threaded, deterministic)"
-cargo test -q -p gridwatch-serve --test net_faults -- --test-threads=1
-cargo test -q -p gridwatch-serve --test wire_roundtrip -- --test-threads=1
+echo "==> TCP listener and multi-process fabric end to end (single-threaded, real processes)"
 cargo test -q -p gridwatch-cli --test listen -- --test-threads=1
-
-echo "==> multi-process shard fabric (single-threaded, real processes)"
-cargo test -q -p gridwatch-serve --test fabric_equivalence -- --test-threads=1
-cargo test -q -p gridwatch-serve --test fabric_faults -- --test-threads=1
 cargo test -q -p gridwatch-cli --test fabric -- --test-threads=1
 
-echo "==> fault suites under runtime lockdep (validate: rank checks armed)"
-# Any lock-order inversion on the fabric merge, engine stats, TCP
-# ingest, or flight-recorder paths panics with both stacks here.
-cargo test -q -p gridwatch-serve --features validate --test net_faults -- --test-threads=1
-cargo test -q -p gridwatch-serve --features validate --test fabric_faults -- --test-threads=1
-
-echo "==> lockdep overhead gate (validate-off OrderedMutex must be free)"
+echo "==> leaf-check overhead gate (release-build LeafMutex must be free)"
 cargo bench -q -p gridwatch-bench --bench lockdep_overhead
 
 echo "==> history store: format goldens, corruption corpus, proptests"
@@ -152,17 +141,11 @@ cargo test -q -p gridwatch-store --test proptests
 echo "==> history store: crash consistency (SIGKILL mid-append, real processes)"
 cargo test -q -p gridwatch-store --test crash_kill -- --test-threads=1
 
-echo "==> history sink: retention bound + bit-identical score replay"
-cargo test -q -p gridwatch-serve --test history_store
-
 echo "==> chaos regimes: pinned per-regime goldens + drift pipeline e2e"
 cargo test -q -p gridwatch-cli --test chaos
 
 echo "==> drift detector: zero false rebuilds on stationary traces (proptest)"
 cargo test -q -p gridwatch-detect --test drift_props
-
-echo "==> adaptive sampling: bit-identical below the watermark (proptest)"
-cargo test -q -p gridwatch-serve --test sampling_props
 
 echo "==> scored chaos evaluation smoke (all shape checks must pass)"
 cargo run -q --release -p gridwatch-cli -- eval --chaos \
@@ -174,16 +157,10 @@ cargo bench -q -p gridwatch-bench --bench chaos_step
 echo "==> sketch gate: no oscillation at the threshold (proptest) + gated pipeline"
 cargo test -q -p gridwatch-detect --test sketch_props
 
-echo "==> sketch gate: sharded promotion parity + checkpointed candidates"
-cargo test -q -p gridwatch-serve --test sketch_serve
-
 echo "==> sketch overhead gate (disabled path <= 15ns/step) + posture trend line"
 # Prints the third CI trend line: tracked pairs / materialized models /
 # sketch bytes on the benchmark engine.
 cargo bench -q -p gridwatch-bench --bench sketch_throughput
-
-echo "==> causal trace exemplars: fabric 7-stage coverage + report bit-identity"
-cargo test -q -p gridwatch-serve --test trace_exemplars -- --test-threads=1
 
 echo "==> trace query + health plane e2e (gridwatch trace, /healthz flip)"
 cargo test -q -p gridwatch-cli --test trace -- --test-threads=1

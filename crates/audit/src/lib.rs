@@ -3,10 +3,9 @@
 //! Two pieces, both driven by the `gridwatch audit` subcommand (the
 //! crate's one front-end):
 //!
-//! * a cross-file **concurrency pass** ([`concurrency`]) over a
-//!   self-contained lexer ([`lexer`]) that builds a global lock-order
-//!   graph and reports deadlock cycles and blocking calls under held
-//!   guards;
+//! * a **concurrency pass** ([`concurrency`]) over a self-contained
+//!   lexer ([`lexer`]) that reports every lock taken and every blocking
+//!   call made under a held guard (locks are leaves);
 //! * an offline **checkpoint validator** ([`checkpoint`]) that checks a
 //!   checkpoint directory's semantic invariants more deeply than
 //!   `--resume` itself does.

@@ -1,6 +1,6 @@
-//! Concurrency patterns the lint must accept: a consistent alpha →
-//! beta order in every function, guards dropped before blocking calls,
-//! and temporaries that die at their statement.
+//! Concurrency patterns the lint must accept: one guard at a time,
+//! guards dropped or scoped out before blocking calls and before the
+//! next lock, and temporaries that die at their statement.
 
 pub struct Pair {
     alpha: Mutex<State>,
@@ -9,17 +9,11 @@ pub struct Pair {
 }
 
 impl Pair {
-    pub fn forward(&self) {
+    pub fn sequential(&self) {
         let a = self.alpha.lock();
-        let b = self.beta.lock();
-        b.merge(&a);
-    }
-
-    pub fn also_forward(&self) {
-        let a = self.alpha.lock();
-        a.tick();
-        let b = self.beta.lock();
-        b.merge(&a);
+        let snapshot = a.clone();
+        drop(a);
+        self.beta.lock().merge(&snapshot);
     }
 
     pub fn publish(&self, value: u64) {

@@ -26,12 +26,12 @@ fn scan_all(which: &str) -> Vec<Violation> {
 fn bad_corpus_trips_every_rule() {
     let violations = scan_all("bad");
     let fired: BTreeSet<Rule> = violations.iter().map(|v| v.rule).collect();
-    for rule in [Rule::LockCycle, Rule::BlockingUnderLock] {
+    for rule in [Rule::NestedLock, Rule::BlockingUnderLock] {
         assert!(fired.contains(&rule), "rule {} never fired", rule.name());
     }
 
     let by_file = |name: &str| violations.iter().filter(|v| v.file == name).count();
-    assert_eq!(by_file("lock_inversion.rs"), 2, "{violations:#?}");
+    assert_eq!(by_file("nested_lock.rs"), 1, "{violations:#?}");
     assert_eq!(by_file("blocking_under_lock.rs"), 3, "{violations:#?}");
 }
 
@@ -42,27 +42,18 @@ fn good_corpus_is_clean() {
 }
 
 #[test]
-fn seeded_inversion_pair_is_flagged_on_both_sides() {
-    // The AB/BA pair across two functions: the cycle must be reported
-    // at both inner acquisitions, naming the conflicting order.
+fn seeded_nesting_names_the_held_guard() {
     let violations = scan_all("bad");
-    let cycles: Vec<_> = violations
+    let nested: Vec<_> = violations
         .iter()
-        .filter(|v| v.rule == Rule::LockCycle && v.file == "lock_inversion.rs")
+        .filter(|v| v.rule == Rule::NestedLock)
         .collect();
-    assert_eq!(cycles.len(), 2, "{cycles:#?}");
-    let excerpts: BTreeSet<&str> = cycles.iter().map(|v| v.excerpt.as_str()).collect();
-    assert!(
-        excerpts.contains("let b = self.beta.lock();"),
-        "{cycles:#?}"
-    );
-    assert!(
-        excerpts.contains("let a = self.alpha.lock();"),
-        "{cycles:#?}"
-    );
-    for v in &cycles {
-        assert!(v.message.contains("cycle"), "{}", v.message);
-    }
+    assert_eq!(nested.len(), 1, "{nested:#?}");
+    let v = nested[0];
+    assert_eq!(v.file, "nested_lock.rs");
+    assert_eq!(v.excerpt, "let b = self.beta.lock();");
+    assert!(v.message.contains("alpha<State>"), "{}", v.message);
+    assert!(v.message.contains("line 13"), "{}", v.message);
 }
 
 #[test]

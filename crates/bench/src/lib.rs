@@ -1,78 +1,42 @@
-//! Shared fixtures for the Criterion benches: simulated pairs, trained
-//! models, and trained engines at several scales.
+//! Shared fixtures for the Criterion gate benches: a simulated trace
+//! and the engines trained on it.
 
-use gridwatch_core::{ModelConfig, TransitionModel};
+use std::collections::BTreeMap;
+
+use gridwatch_core::ModelConfig;
 use gridwatch_detect::{DetectionEngine, EngineConfig, PairScreen};
 use gridwatch_sim::scenario::clean_scenario;
 use gridwatch_sim::Trace;
-use gridwatch_timeseries::{AlignmentPolicy, GroupId, PairSeries, Point2, Timestamp};
+use gridwatch_timeseries::{
+    AlignmentPolicy, GroupId, MeasurementId, MeasurementPair, PairSeries, TimeSeries, Timestamp,
+};
 
 /// A simulated clean trace for group A.
 pub fn trace(machines: usize) -> Trace {
     clean_scenario(GroupId::A, machines, 20080529).trace
 }
 
-/// The trace's first pair of measurements, aligned over `[0, days)`.
-pub fn pair_series(trace: &Trace, days: u64) -> PairSeries {
-    let mut ids = trace.measurement_ids();
-    let a = ids.next().expect("trace has measurements");
-    let b = ids.next().expect("trace has measurements");
-    let sa = trace
-        .series(a)
-        .expect("measurement exists")
-        .slice(Timestamp::EPOCH, Timestamp::from_days(days));
-    let sb = trace
-        .series(b)
-        .expect("measurement exists")
-        .slice(Timestamp::EPOCH, Timestamp::from_days(days));
-    PairSeries::align(&sa, &sb, AlignmentPolicy::Intersect).expect("same schedule")
-}
-
-/// A model trained on `train_days` of the trace's first pair.
-pub fn trained_model(trace: &Trace, train_days: u64) -> TransitionModel {
-    let history = pair_series(trace, train_days);
-    TransitionModel::fit(&history, ModelConfig::default()).expect("history is modelable")
-}
-
-/// The test-day points of the trace's first pair.
-pub fn test_points(trace: &Trace) -> Vec<Point2> {
-    let mut ids = trace.measurement_ids();
-    let a = ids.next().expect("trace has measurements");
-    let b = ids.next().expect("trace has measurements");
-    let sa = trace
-        .series(a)
-        .expect("measurement exists")
-        .slice(Timestamp::from_days(15), Timestamp::from_days(16));
-    let sb = trace
-        .series(b)
-        .expect("measurement exists")
-        .slice(Timestamp::from_days(15), Timestamp::from_days(16));
-    PairSeries::align(&sa, &sb, AlignmentPolicy::Intersect)
-        .expect("same schedule")
-        .points()
-        .to_vec()
-}
-
-/// An engine trained on 8 days over up to `max_pairs` screened pairs.
-pub fn trained_engine(trace: &Trace, max_pairs: usize) -> DetectionEngine {
+/// Every measurement of the trace over its first 8 days.
+fn training_window(trace: &Trace) -> BTreeMap<MeasurementId, TimeSeries> {
     let train_end = Timestamp::from_days(8);
-    let mut training = std::collections::BTreeMap::new();
-    for id in trace.measurement_ids() {
-        training.insert(
-            id,
-            trace
+    trace
+        .measurement_ids()
+        .map(|id| {
+            let series = trace
                 .series(id)
                 .expect("measurement exists")
-                .slice(Timestamp::EPOCH, train_end),
-        );
-    }
-    let screen = PairScreen {
-        min_cv: 0.05,
-        max_pairs: Some(max_pairs),
-        ..PairScreen::default()
-    };
-    let pairs = screen.select(&training);
-    let histories: Vec<_> = pairs
+                .slice(Timestamp::EPOCH, train_end);
+            (id, series)
+        })
+        .collect()
+}
+
+/// The aligned training histories of `pairs`.
+fn histories(
+    training: &BTreeMap<MeasurementId, TimeSeries>,
+    pairs: Vec<MeasurementPair>,
+) -> Vec<(MeasurementPair, PairSeries)> {
+    pairs
         .into_iter()
         .filter_map(|p| {
             PairSeries::align(
@@ -83,49 +47,26 @@ pub fn trained_engine(trace: &Trace, max_pairs: usize) -> DetectionEngine {
             .ok()
             .map(|h| (p, h))
         })
-        .collect();
-    DetectionEngine::train(histories, EngineConfig::default()).expect("benchmark engine trains")
+        .collect()
 }
 
 /// An engine for the chaos benches: frozen model (the drift layer's
 /// target configuration) with an optional drift detector, trained on
-/// the same 8 days and screen as [`trained_engine`].
+/// 8 days over up to `max_pairs` screened pairs.
 pub fn trained_drift_engine(
     trace: &Trace,
     max_pairs: usize,
     drift: Option<gridwatch_detect::DriftConfig>,
 ) -> DetectionEngine {
-    let train_end = Timestamp::from_days(8);
-    let mut training = std::collections::BTreeMap::new();
-    for id in trace.measurement_ids() {
-        training.insert(
-            id,
-            trace
-                .series(id)
-                .expect("measurement exists")
-                .slice(Timestamp::EPOCH, train_end),
-        );
-    }
+    let training = training_window(trace);
     let screen = PairScreen {
         min_cv: 0.05,
         max_pairs: Some(max_pairs),
         ..PairScreen::default()
     };
     let pairs = screen.select(&training);
-    let histories: Vec<_> = pairs
-        .into_iter()
-        .filter_map(|p| {
-            PairSeries::align(
-                &training[&p.first()],
-                &training[&p.second()],
-                AlignmentPolicy::Intersect,
-            )
-            .ok()
-            .map(|h| (p, h))
-        })
-        .collect();
     DetectionEngine::train(
-        histories,
+        histories(&training, pairs),
         EngineConfig {
             model: ModelConfig::default().frozen(),
             drift,
@@ -144,17 +85,7 @@ pub fn trained_sketch_engine(
     max_pairs: usize,
     sketch: Option<gridwatch_detect::SketchConfig>,
 ) -> DetectionEngine {
-    let train_end = Timestamp::from_days(8);
-    let mut training = std::collections::BTreeMap::new();
-    for id in trace.measurement_ids() {
-        training.insert(
-            id,
-            trace
-                .series(id)
-                .expect("measurement exists")
-                .slice(Timestamp::EPOCH, train_end),
-        );
-    }
+    let training = training_window(trace);
     let screen = PairScreen {
         min_cv: 0.05,
         ..PairScreen::default()
@@ -165,21 +96,9 @@ pub fn trained_sketch_engine(
     } else {
         Vec::new()
     };
-    let histories: Vec<_> = pairs
-        .into_iter()
-        .filter_map(|p| {
-            PairSeries::align(
-                &training[&p.first()],
-                &training[&p.second()],
-                AlignmentPolicy::Intersect,
-            )
-            .ok()
-            .map(|h| (p, h))
-        })
-        .collect();
     let sketched = sketch.is_some();
     let mut engine = DetectionEngine::train(
-        histories,
+        histories(&training, pairs),
         EngineConfig {
             sketch,
             ..EngineConfig::default()
@@ -199,11 +118,6 @@ mod tests {
     #[test]
     fn fixtures_build() {
         let t = trace(2);
-        let model = trained_model(&t, 2);
-        assert!(model.matrix().total_observations() > 0);
-        assert!(!test_points(&t).is_empty());
-        let engine = trained_engine(&t, 5);
-        assert!(engine.model_count() > 0);
         let drifting = trained_drift_engine(&t, 5, Some(gridwatch_detect::DriftConfig::default()));
         assert!(drifting.model_count() > 0);
         let sketched =

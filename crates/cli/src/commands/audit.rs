@@ -17,10 +17,10 @@ gridwatch audit --paths DIR
 gridwatch audit --checkpoint DIR
 gridwatch audit --store DIR
 
-  (no flag)         run the cross-file lock-order pass over the
-                    workspace: build the global lock-order graph and
-                    report cycles (potential deadlocks) and guards held
-                    across blocking calls; fails on any finding
+  (no flag)         run the concurrency pass over the workspace:
+                    report every lock taken, and every blocking call
+                    made, while a guard is held (locks are leaves);
+                    fails on any finding
   --root DIR        workspace root (default: walk up from the cwd)
   --paths DIR       fixture mode: the same pass over every file under
                     DIR

@@ -73,7 +73,7 @@ commands:
   inspect    summarize a persisted engine
              --engine FILE [--verbose]
   audit      check the workspace sources (or a fixture directory)
-             for lock-order cycles and blocking under a lock,
+             for nested locks and blocking under a lock,
              validate a checkpoint directory offline before
              `serve --resume`, or validate a history store
              [--root DIR] | --paths DIR | --checkpoint DIR | --store DIR

@@ -14,9 +14,7 @@
 //!
 //! Pure verifiers return `Err(description)` and are reused by
 //! `gridwatch-audit` for offline checkpoint validation; the `check_*`
-//! wrappers assert at runtime and are active under `debug_assertions` or
-//! the crate's `validate` feature (which also enables the grid-level
-//! checks in release builds).
+//! wrappers assert at runtime and are active under `debug_assertions`.
 
 use gridwatch_core::TransitionModel;
 use gridwatch_timeseries::MeasurementPair;
@@ -32,9 +30,9 @@ pub const ROW_SUM_TOLERANCE: f64 = 1e-6;
 pub const DEFAULT_ROW_SAMPLE: usize = 8;
 
 /// Whether the assertion wrappers are active in this build: true under
-/// `debug_assertions` or with the `validate` feature enabled.
+/// `debug_assertions`.
 pub const fn enabled() -> bool {
-    cfg!(any(debug_assertions, feature = "validate"))
+    cfg!(debug_assertions)
 }
 
 /// Verifies a fitness score `Q ∈ [0, 1]` and finite.

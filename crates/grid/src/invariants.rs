@@ -10,15 +10,14 @@
 //!   description of the first violated invariant — reusable by
 //!   `gridwatch-audit` for offline checkpoint validation; and
 //! * assertion wrappers ([`check_partition`], [`check_grid`]) invoked at
-//!   mutation sites, active under `debug_assertions` or the crate's
-//!   `validate` feature and free otherwise.
+//!   mutation sites, active under `debug_assertions` and free otherwise.
 
 use crate::{DimensionPartition, GridStructure};
 
 /// Whether the assertion wrappers are active in this build: true under
-/// `debug_assertions` or with the `validate` feature enabled.
+/// `debug_assertions`.
 pub const fn enabled() -> bool {
-    cfg!(any(debug_assertions, feature = "validate"))
+    cfg!(debug_assertions)
 }
 
 /// Verifies that a dimension partition tiles an interval of the real

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 use serde::{Deserialize, Serialize};
 
 use crate::trace::Stage;
@@ -192,8 +192,8 @@ struct Core {
     pending_capacity: usize,
     epoch: Instant,
     /// Traces opened but not yet finalized, keyed by sequence number.
-    pending: OrderedMutex<BTreeMap<u64, PendingTrace>>,
-    ring: OrderedMutex<Ring>,
+    pending: LeafMutex<BTreeMap<u64, PendingTrace>>,
+    ring: LeafMutex<Ring>,
     /// Pending traces evicted before finalize (admission outran the
     /// table) — visible so silent capture loss never looks like "no
     /// interesting traces".
@@ -237,8 +237,8 @@ impl ExemplarTracer {
                 ring_capacity: config.ring_capacity.max(1),
                 pending_capacity: config.pending_capacity.max(1),
                 epoch: Instant::now(),
-                pending: OrderedMutex::new(classes::EXEMPLAR_PENDING, BTreeMap::new()),
-                ring: OrderedMutex::new(classes::EXEMPLAR_RING, Ring::default()),
+                pending: LeafMutex::new(BTreeMap::new()),
+                ring: LeafMutex::new(Ring::default()),
                 pending_evicted: AtomicU64::new(0),
             }),
         }

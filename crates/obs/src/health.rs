@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 use serde::{Deserialize, Serialize};
 
 use crate::expo::Exposition;
@@ -170,7 +170,7 @@ struct WindowState {
 /// shares the window; one `observe` + `render_into` pair per scrape.
 #[derive(Clone)]
 pub struct BurnGauges {
-    window: Arc<OrderedMutex<WindowState>>,
+    window: Arc<LeafMutex<WindowState>>,
 }
 
 impl Default for BurnGauges {
@@ -226,12 +226,9 @@ impl BurnGauges {
     /// An empty window.
     pub fn new() -> BurnGauges {
         BurnGauges {
-            window: Arc::new(OrderedMutex::new(
-                classes::HEALTH_WINDOW,
-                WindowState {
-                    samples: VecDeque::new(),
-                },
-            )),
+            window: Arc::new(LeafMutex::new(WindowState {
+                samples: VecDeque::new(),
+            })),
         }
     }
 

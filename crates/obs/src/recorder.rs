@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 use serde::{Deserialize, Serialize};
 
 /// Default ring capacity.
@@ -44,7 +44,7 @@ struct Ring {
 /// A shareable, bounded event recorder. Clones share the same ring.
 #[derive(Clone)]
 pub struct FlightRecorder {
-    ring: Arc<OrderedMutex<Ring>>,
+    ring: Arc<LeafMutex<Ring>>,
     start: Instant,
 }
 
@@ -72,14 +72,11 @@ impl FlightRecorder {
     /// one).
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            ring: Arc::new(OrderedMutex::new(
-                classes::FLIGHT_RING,
-                Ring {
-                    events: std::collections::VecDeque::with_capacity(capacity.max(1)),
-                    capacity: capacity.max(1),
-                    dropped: 0,
-                },
-            )),
+            ring: Arc::new(LeafMutex::new(Ring {
+                events: std::collections::VecDeque::with_capacity(capacity.max(1)),
+                capacity: capacity.max(1),
+                dropped: 0,
+            })),
             start: Instant::now(),
         }
     }

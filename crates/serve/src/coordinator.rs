@@ -42,7 +42,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{AlarmTracker, EngineSnapshot, Snapshot, StepReport};
@@ -197,7 +197,7 @@ struct ShardSlot {
     addr: String,
 }
 
-type Slots = Arc<Vec<OrderedMutex<ShardSlot>>>;
+type Slots = Arc<Vec<LeafMutex<ShardSlot>>>;
 
 /// One entry of the per-shard state cache: the shard's engine state as
 /// of snapshot sequence `cut` (exclusive).
@@ -244,8 +244,8 @@ pub struct Coordinator {
     merge_tx: Option<Sender<CoordMsg>>,
     reports_rx: Receiver<StepReport>,
     report_buffer: VecDeque<StepReport>,
-    state_cache: Arc<OrderedMutex<Vec<StateEntry>>>,
-    stats: Arc<OrderedMutex<FabricStats>>,
+    state_cache: Arc<LeafMutex<Vec<StateEntry>>>,
+    stats: Arc<LeafMutex<FabricStats>>,
     closing: Arc<std::sync::atomic::AtomicBool>,
     journal: VecDeque<(u64, Snapshot)>,
     next_seq: u64,
@@ -259,7 +259,7 @@ pub struct Coordinator {
 /// scrapes while the front thread drives the fabric.
 #[derive(Debug, Clone)]
 pub struct CoordinatorMetricsProbe {
-    stats: Arc<OrderedMutex<FabricStats>>,
+    stats: Arc<LeafMutex<FabricStats>>,
     slots: Slots,
     obs: PipelineObs,
 }
@@ -354,19 +354,15 @@ impl Coordinator {
         let slots: Slots = Arc::new(
             (0..shards)
                 .map(|_| {
-                    OrderedMutex::new(
-                        classes::FABRIC_SLOT,
-                        ShardSlot {
-                            epoch: 0,
-                            live: false,
-                            addr: String::new(),
-                        },
-                    )
+                    LeafMutex::new(ShardSlot {
+                        epoch: 0,
+                        live: false,
+                        addr: String::new(),
+                    })
                 })
                 .collect(),
         );
-        let state_cache = Arc::new(OrderedMutex::new(
-            classes::FABRIC_STATE_CACHE,
+        let state_cache = Arc::new(LeafMutex::new(
             partitions
                 .into_iter()
                 .zip(candidate_partitions)
@@ -381,13 +377,10 @@ impl Coordinator {
                 })
                 .collect::<Vec<_>>(),
         ));
-        let stats = Arc::new(OrderedMutex::new(
-            classes::FABRIC_STATS,
-            FabricStats {
-                shards,
-                ..FabricStats::default()
-            },
-        ));
+        let stats = Arc::new(LeafMutex::new(FabricStats {
+            shards,
+            ..FabricStats::default()
+        }));
 
         let closing = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let (merge_tx, merge_rx) = channel::bounded(fabric.channel_capacity);
@@ -518,9 +511,8 @@ impl Coordinator {
 
     fn mark_dead(&self, shard: usize) {
         // Flip the slot under its lock, but do the bookkeeping (stats,
-        // recorder, log) after releasing it: none of it needs the slot,
-        // and keeping the critical section to the one store avoids
-        // nesting other lock classes under `fabric.slot`.
+        // recorder, log) after releasing it: locks are leaves, so
+        // nothing else may be locked while the slot is held.
         let epoch = {
             let mut slot = self.slots[shard].lock();
             if !slot.live {
@@ -913,8 +905,8 @@ fn merge_loop<T: FnMut(Tally)>(
     mut merger: StepMerger<FabricError, T>,
     rx: Receiver<CoordMsg>,
     slots: Slots,
-    state_cache: Arc<OrderedMutex<Vec<StateEntry>>>,
-    stats: Arc<OrderedMutex<FabricStats>>,
+    state_cache: Arc<LeafMutex<Vec<StateEntry>>>,
+    stats: Arc<LeafMutex<FabricStats>>,
     closing: Arc<std::sync::atomic::AtomicBool>,
     obs: PipelineObs,
 ) {
@@ -1016,22 +1008,19 @@ mod tests {
         obs.tracer.record_ns(Stage::Score, 900);
         obs.tracer.record_ns(Stage::Merge, 3);
         let probe = CoordinatorMetricsProbe {
-            stats: Arc::new(OrderedMutex::new(
-                classes::FABRIC_STATS,
-                FabricStats {
-                    shards: 2,
-                    submitted: 11,
-                    reports: 10,
-                    alarms: 9,
-                    stale_boards: 8,
-                    duplicate_boards: 7,
-                    replayed_boards: 6,
-                    bad_boards: 5,
-                    disconnects: 4,
-                    migrations: 3,
-                    checkpoints: 1,
-                },
-            )),
+            stats: Arc::new(LeafMutex::new(FabricStats {
+                shards: 2,
+                submitted: 11,
+                reports: 10,
+                alarms: 9,
+                stale_boards: 8,
+                duplicate_boards: 7,
+                replayed_boards: 6,
+                bad_boards: 5,
+                disconnects: 4,
+                migrations: 3,
+                checkpoints: 1,
+            })),
             slots: Arc::new(Vec::new()),
             obs,
         };

@@ -50,7 +50,7 @@ use gridwatch_detect::{
     AlarmTracker, DetectionEngine, EngineSnapshot, LifecycleKind, ScoreBoard, Snapshot, StepReport,
 };
 use gridwatch_obs::{BurnSample, FlightRecorder, PipelineObs, SpanSlice, Stage};
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
 use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
@@ -241,7 +241,7 @@ impl ShardedEngine {
             live.shards[k].materialized_models = part.len();
             live.shards[k].tracked_pairs = part.len() + candidate_partitions[k].len();
         }
-        let stats = Arc::new(OrderedMutex::new(classes::ENGINE_STATS, live));
+        let stats = Arc::new(LeafMutex::new(live));
 
         #[expect(clippy::disallowed_methods, reason = "bounded by the submit queues")]
         let (reply_tx, reply_rx) = channel::unbounded::<ShardReply>();
@@ -401,7 +401,7 @@ impl ShardedEngine {
                 let tick = self.sample_tick;
                 self.sample_tick += 1;
                 if !tick.is_multiple_of(u64::from(sampling.stride)) {
-                    self.count_submit(&depths, &[], |live| live.sampled_out += 1);
+                    self.count_submit(&depths, |live| live.sampled_out += 1);
                     return IngestReport {
                         seq: None,
                         evicted: 0,
@@ -424,7 +424,7 @@ impl ShardedEngine {
                 // blocking sends below cannot actually block.
                 let cap = self.config.queue_capacity;
                 if depths.iter().any(|&depth| depth >= cap) {
-                    self.count_submit(&depths, &[], |live| live.rejected += 1);
+                    self.count_submit(&depths, |live| live.rejected += 1);
                     return IngestReport {
                         seq: None,
                         evicted: 0,
@@ -442,6 +442,7 @@ impl ShardedEngine {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 admitted(seq);
+                self.count_submit(&depths, |live| live.submitted += 1);
                 let snap = Arc::new(snapshot);
                 let mut evicted_total = 0u64;
                 for (k, tx) in self.shard_senders.iter().enumerate() {
@@ -467,7 +468,6 @@ impl ShardedEngine {
                         }
                     }
                 }
-                self.count_submit(&depths, &[], |live| live.submitted += 1);
                 IngestReport {
                     seq: Some(seq),
                     evicted: evicted_total,
@@ -478,9 +478,11 @@ impl ShardedEngine {
     }
 
     /// Assigns a sequence number and broadcasts to every shard,
-    /// blocking on full queues. Each send tries the non-blocking path
-    /// first so the (rare) blocked case can be timed: the wait is what
-    /// the backpressure-wait distribution measures.
+    /// blocking on full queues. The submit is counted before the first
+    /// send: a fast shard can emit the report before the loop ends. Each
+    /// send tries the non-blocking path first so the (rare) blocked case
+    /// can be timed: the wait is what the backpressure-wait distribution
+    /// measures.
     fn broadcast_blocking(
         &mut self,
         snapshot: Snapshot,
@@ -490,6 +492,7 @@ impl ShardedEngine {
         let seq = self.next_seq;
         self.next_seq += 1;
         admitted(seq);
+        self.count_submit(depths, |live| live.submitted += 1);
         let snap = Arc::new(snapshot);
         let mut waits: Vec<(usize, u64)> = Vec::new();
         for (k, tx) in self.shard_senders.iter().enumerate() {
@@ -509,25 +512,21 @@ impl ShardedEngine {
                 Err(TrySendError::Disconnected(_)) => panic!("shard worker disconnected"),
             }
         }
-        self.count_submit(depths, &waits, |live| live.submitted += 1);
+        if !waits.is_empty() {
+            let mut live = self.probe.stats.lock();
+            for (k, wait_ns) in waits {
+                live.shards[k].backpressure_wait_ns.record(wait_ns);
+            }
+        }
         seq
     }
 
     /// Accounts one submit under a single lock of the live document:
-    /// the queue depths it saw, the blocked sends it waited out, and
-    /// what became of the snapshot.
-    fn count_submit(
-        &self,
-        depths: &[usize],
-        waits: &[(usize, u64)],
-        outcome: impl FnOnce(&mut ServeStats),
-    ) {
+    /// the queue depths it saw and what became of the snapshot.
+    fn count_submit(&self, depths: &[usize], outcome: impl FnOnce(&mut ServeStats)) {
         let mut live = self.probe.stats.lock();
         for (shard, &depth) in live.shards.iter_mut().zip(depths) {
             shard.queue_depths.record(depth as u64);
-        }
-        for &(k, wait_ns) in waits {
-            live.shards[k].backpressure_wait_ns.record(wait_ns);
         }
         outcome(&mut live);
     }
@@ -673,13 +672,13 @@ impl ShardedEngine {
 /// the engine's owner thread (see [`ShardedEngine::stats_probe`]).
 #[derive(Clone)]
 pub struct StatsProbe {
-    stats: Arc<OrderedMutex<ServeStats>>,
+    stats: Arc<LeafMutex<ServeStats>>,
     queues: Vec<Receiver<ShardMsg>>,
     obs: PipelineObs,
     queue_capacity: usize,
     /// The wire-path counters of the listener in front of the engine;
     /// `None` when snapshots arrive by `submit` alone.
-    pub(crate) net: Option<Arc<OrderedMutex<NetStats>>>,
+    pub(crate) net: Option<Arc<LeafMutex<NetStats>>>,
 }
 
 impl StatsProbe {
@@ -881,7 +880,7 @@ fn worker_loop(
 fn aggregator_loop<T: FnMut(Tally)>(
     mut merger: StepMerger<CheckpointError, T>,
     reply_rx: Receiver<ShardReply>,
-    stats: Arc<OrderedMutex<ServeStats>>,
+    stats: Arc<LeafMutex<ServeStats>>,
     obs: PipelineObs,
 ) {
     while let Ok(msg) = reply_rx.recv() {

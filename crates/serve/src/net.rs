@@ -54,12 +54,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-// `OrderedMutex` wraps `parking_lot::Mutex`, which does not poison: a
+// `LeafMutex` wraps `parking_lot::Mutex`, which does not poison: a
 // panicking stats writer cannot force every other thread to unwrap a
 // poisoned lock, which keeps the accept/ingest paths free of
-// `unwrap()/expect()`. Under the `validate` feature it also checks
-// lock-class ranks at runtime (see `gridwatch-sync`).
-use gridwatch_sync::{classes, OrderedMutex};
+// `unwrap()/expect()`. Debug builds also check that no lock nests under
+// another (see `gridwatch-sync`).
+use gridwatch_sync::LeafMutex;
 
 use gridwatch_detect::{EngineSnapshot, StepReport};
 use gridwatch_obs::{PipelineObs, Stage};
@@ -173,7 +173,7 @@ fn deliver(
     }
 }
 
-type Shared<T> = Arc<OrderedMutex<T>>;
+type Shared<T> = Arc<LeafMutex<T>>;
 
 /// Socket clones + join handles of live connection threads, kept so
 /// shutdown can unblock and join every one of them.
@@ -260,10 +260,7 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
 
         let engine = ShardedEngine::start_with_obs(snapshot, serve, obs.clone());
-        let net_acc: Shared<NetStats> = Arc::new(OrderedMutex::new(
-            classes::NET_ACCUMULATOR,
-            NetStats::default(),
-        ));
+        let net_acc: Shared<NetStats> = Arc::new(LeafMutex::new(NetStats::default()));
         let mut probe = engine.stats_probe();
         probe.net = Some(Arc::clone(&net_acc));
         let reports_rx = engine.reports_receiver();
@@ -274,10 +271,7 @@ impl NetServer {
         // not keep the channel alive, so this never blocks shutdown.
         let frame_stealer = frame_rx.clone();
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Shared<ConnRegistry> = Arc::new(OrderedMutex::new(
-            classes::NET_CONNS,
-            ConnRegistry::default(),
-        ));
+        let conns: Shared<ConnRegistry> = Arc::new(LeafMutex::new(ConnRegistry::default()));
 
         let ingest = {
             let probe = probe.clone();

@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_sync::LeafMutex;
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{EngineSnapshot, ScoreBoard};
@@ -385,8 +385,8 @@ pub struct ShardWorker {
     listener: TcpListener,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    session: Arc<OrderedMutex<Option<TcpStream>>>,
-    summary: Arc<OrderedMutex<WorkerSummary>>,
+    session: Arc<LeafMutex<Option<TcpStream>>>,
+    summary: Arc<LeafMutex<WorkerSummary>>,
     obs: PipelineObs,
 }
 
@@ -395,7 +395,7 @@ pub struct ShardWorker {
 /// while [`ShardWorker::run`] owns the thread.
 #[derive(Debug, Clone)]
 pub struct WorkerMetricsProbe {
-    summary: Arc<OrderedMutex<WorkerSummary>>,
+    summary: Arc<LeafMutex<WorkerSummary>>,
     obs: PipelineObs,
 }
 
@@ -421,7 +421,7 @@ impl WorkerMetricsProbe {
 pub struct WorkerController {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    session: Arc<OrderedMutex<Option<TcpStream>>>,
+    session: Arc<LeafMutex<Option<TcpStream>>>,
 }
 
 impl WorkerController {
@@ -453,11 +453,8 @@ impl ShardWorker {
             listener,
             local_addr,
             stop: Arc::new(AtomicBool::new(false)),
-            session: Arc::new(OrderedMutex::new(classes::WORKER_SESSION, None)),
-            summary: Arc::new(OrderedMutex::new(
-                classes::WORKER_SUMMARY,
-                WorkerSummary::default(),
-            )),
+            session: Arc::new(LeafMutex::new(None)),
+            summary: Arc::new(LeafMutex::new(WorkerSummary::default())),
             obs,
         })
     }
@@ -565,7 +562,7 @@ impl ShardWorker {
 /// checkpoint markers until EOF or `Shutdown`.
 fn session_loop(
     mut stream: TcpStream,
-    summary: &OrderedMutex<WorkerSummary>,
+    summary: &LeafMutex<WorkerSummary>,
     obs: &PipelineObs,
 ) -> Result<SessionEnd, FabricError> {
     // Handshake: the first frame must be a Hello (or a Shutdown aimed
@@ -699,16 +696,13 @@ mod tests {
         let obs = PipelineObs::enabled();
         obs.tracer.record_ns(Stage::Decode, 5);
         let probe = WorkerMetricsProbe {
-            summary: Arc::new(OrderedMutex::new(
-                classes::WORKER_SUMMARY,
-                WorkerSummary {
-                    sessions: 5,
-                    snapshots: 4,
-                    boards: 3,
-                    checkpoints: 2,
-                    protocol_errors: 1,
-                },
-            )),
+            summary: Arc::new(LeafMutex::new(WorkerSummary {
+                sessions: 5,
+                snapshots: 4,
+                boards: 3,
+                checkpoints: 2,
+                protocol_errors: 1,
+            })),
             obs,
         };
         let golden = "\

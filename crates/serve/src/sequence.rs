@@ -151,10 +151,10 @@ impl SourceTable {
     }
 
     /// Invariant check: no source's reorder buffer exceeds the
-    /// configured window. Active under `debug_assertions` or the crate's
-    /// `validate` feature; a no-op otherwise.
+    /// configured window. Active under `debug_assertions`; a no-op
+    /// otherwise.
     pub fn check_window_bound(&self) {
-        #[cfg(any(debug_assertions, feature = "validate"))]
+        #[cfg(debug_assertions)]
         for (source, state) in &self.sources {
             assert!(
                 state.pending.len() <= self.reorder_capacity,

@@ -15,7 +15,7 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::ChaosClient;
 use gridwatch_detect::StepReport;
@@ -132,10 +132,16 @@ fn mixed_protocol_connections_feed_one_sequenced_stream() {
         ..NetConfig::default()
     });
     // The tail arrives first over CSV; the reorder window holds it until
-    // the JSON connection delivers the head.
+    // the JSON connection delivers the head. Connect the JSON client only
+    // once the whole tail is buffered, or the two connections race.
     let mut csv_client = ChaosClient::connect(server.local_addr());
     for frame in tail {
         csv_client.send_csv(frame);
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().net.out_of_order < tail.len() as u64 {
+        assert!(Instant::now() < deadline, "the tail was never buffered");
+        std::thread::sleep(Duration::from_millis(1));
     }
     let mut json_client = ChaosClient::connect(server.local_addr());
     for frame in head {
@@ -147,7 +153,11 @@ fn mixed_protocol_connections_feed_one_sequenced_stream() {
     let (_, stats) = server.shutdown();
     assert_eq!(got, want, "two connections, one source, one exact stream");
     assert_eq!(stats.net.frames, trace.len() as u64);
-    assert!(stats.net.out_of_order > 0, "the tail had to be buffered");
+    assert_eq!(
+        stats.net.out_of_order,
+        tail.len() as u64,
+        "the tail had to be buffered"
+    );
 }
 
 #[test]
@@ -444,6 +454,32 @@ fn live_metrics_scrape_accounts_for_every_processed_snapshot() {
     assert_eq!(
         got, want,
         "an observed listener must not perturb the stream"
+    );
+    assert_eq!(stats.submitted, trace.len() as u64);
+}
+
+#[test]
+fn every_report_is_preceded_by_its_submit_count() {
+    // Lockstep: one frame, then its report. The engine counts a submit
+    // before any shard sees the snapshot, so a report can never be on
+    // the wire while `submitted` still lags it.
+    let trace = common::trace(3_000);
+    let server = bind(NetConfig::default());
+    let mut client = ChaosClient::connect(server.local_addr());
+    let mut late = Vec::new();
+    for (k, frame) in common::frames(SOURCE, 0, &trace).iter().enumerate() {
+        client.send_json(frame);
+        collect_reports(&server, 1);
+        let submitted = server.stats().submitted;
+        if submitted < k as u64 + 1 {
+            late.push((k, submitted));
+        }
+    }
+    client.disconnect();
+    let (_, stats) = server.shutdown();
+    assert!(
+        late.is_empty(),
+        "reports ahead of their submit count: {late:?}"
     );
     assert_eq!(stats.submitted, trace.len() as u64);
 }

@@ -1,133 +1,104 @@
-//! Runtime lockdep behavior under the `validate` feature: inversions
-//! panic with both acquisition locations, legal orders pass, threads
-//! keep independent held stacks, and the observed-edge table records
-//! the orders that actually executed.
-//!
-//! Without `validate` the wrappers are pass-throughs; the non-gated
-//! tests below pin that the API still behaves as a plain lock.
+//! The leaf rule at runtime: in debug builds a thread that holds a
+//! `LeafMutex` panics, before blocking, on any further acquisition, and
+//! the message names where both locks were created and acquired.
+//! Sequential acquisitions and one lock per thread stay legal.
 
-use gridwatch_sync::{LockClass, OrderedMutex};
+use std::thread;
 
-const ALPHA: LockClass = LockClass::new("lockdep.alpha", 100);
-const BETA: LockClass = LockClass::new("lockdep.beta", 200);
+use gridwatch_sync::LeafMutex;
 
 #[test]
-fn nested_ascending_acquisition_passes() {
-    let a = OrderedMutex::new(ALPHA, 1u32);
-    let b = OrderedMutex::new(BETA, 2u32);
-    let ga = a.lock();
-    let gb = b.lock();
-    assert_eq!(*ga + *gb, 3);
-}
-
-#[test]
-fn sequential_reacquisition_passes() {
-    // Dropping a guard must release its lockdep slot: B-then-A is legal
-    // when the B guard is gone before A is taken.
-    let a = OrderedMutex::new(ALPHA, ());
-    let b = OrderedMutex::new(BETA, ());
+fn sequential_acquisitions_pass() {
+    // Dropping a guard frees the thread's slot, in any order of locks.
+    let a = LeafMutex::new(1u32);
+    let b = LeafMutex::new(2u32);
+    let x = *a.lock();
+    let y = *b.lock();
+    assert_eq!(x + y, 3);
     drop(b.lock());
     drop(a.lock());
+    let ga = a.lock();
+    drop(ga);
     drop(b.lock());
 }
 
-#[cfg(feature = "validate")]
-mod validate {
-    use super::*;
-    use gridwatch_sync::OrderedRwLock;
+#[test]
+fn one_lock_per_thread_is_legal_across_threads() {
+    // The slot is per thread: one thread holding a lock does not stop
+    // another thread from taking a different one.
+    let a = LeafMutex::new(());
+    let held = a.lock();
+    let worker = thread::spawn(|| {
+        let b = LeafMutex::new(());
+        drop(b.lock());
+    });
+    worker.join().expect("a lock on another thread is legal");
+    drop(held);
+}
 
-    const GAMMA: LockClass = LockClass::new("lockdep.gamma", 300);
+/// Runs `f` on a fresh thread and returns its panic message, failing
+/// the test if `f` returns normally or is still running after a
+/// deadline (a lock that blocked instead of panicking).
+#[cfg(debug_assertions)]
+fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+    use std::time::{Duration, Instant};
 
-    #[test]
-    #[should_panic(expected = "lock-order inversion")]
-    fn descending_acquisition_panics() {
-        let a = OrderedMutex::new(ALPHA, ());
-        let b = OrderedMutex::new(BETA, ());
-        let _gb = b.lock();
+    let worker = thread::spawn(f);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !worker.is_finished() {
+        assert!(Instant::now() < deadline, "the acquisition blocked");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let err = worker.join().expect_err("the acquisition must panic");
+    err.downcast_ref::<String>()
+        .expect("panic payload is a String")
+        .clone()
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn any_nesting_panics_and_names_both_acquisition_sites() {
+    let msg = panic_message(|| {
+        let a = LeafMutex::new(());
+        let b = LeafMutex::new(());
         let _ga = a.lock();
-    }
-
-    #[test]
-    #[should_panic(expected = "lock-order inversion")]
-    fn same_class_nesting_panics() {
-        // Two locks of the same class can deadlock against each other
-        // (AB/BA with itself), so same-rank nesting is an inversion.
-        let a1 = OrderedMutex::new(ALPHA, ());
-        let a2 = OrderedMutex::new(ALPHA, ());
-        let _g1 = a1.lock();
-        let _g2 = a2.lock();
-    }
-
-    #[test]
-    #[should_panic(expected = "lock-order inversion")]
-    fn rwlock_read_participates_in_ordering() {
-        let a = OrderedRwLock::new(ALPHA, ());
-        let b = OrderedMutex::new(BETA, ());
         let _gb = b.lock();
-        let _ga = a.read();
-    }
+    });
+    assert!(msg.starts_with("nested lock"), "{msg}");
+    // Two creation sites and two acquisition sites, all in this file
+    // and each on its own line.
+    assert_eq!(msg.matches("lockdep.rs:").count(), 4, "{msg}");
+    let lines: std::collections::BTreeSet<&str> = msg
+        .split("lockdep.rs:")
+        .skip(1)
+        .filter_map(|rest| rest.split(':').next())
+        .collect();
+    assert_eq!(lines.len(), 4, "{msg}");
+}
 
-    #[test]
-    fn inversion_message_names_both_locations() {
-        let err = std::thread::spawn(|| {
-            let a = OrderedMutex::new(ALPHA, ());
-            let b = OrderedMutex::new(BETA, ());
-            let _gb = b.lock();
-            let _ga = a.lock();
-        })
-        .join()
-        .expect_err("inversion must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("panic payload is a String")
-            .clone();
-        assert!(msg.contains("lockdep.alpha"), "{msg}");
-        assert!(msg.contains("lockdep.beta"), "{msg}");
-        // Both the blocked acquisition and the held acquisition carry
-        // file:line locations from #[track_caller].
-        assert!(msg.matches("lockdep.rs").count() >= 2, "{msg}");
-        assert!(msg.contains("held stack"), "{msg}");
-    }
+#[cfg(debug_assertions)]
+#[test]
+fn relocking_the_held_mutex_panics_before_it_blocks() {
+    let msg = panic_message(|| {
+        let a = LeafMutex::new(0u32);
+        let _first = a.lock();
+        let _second = a.lock();
+    });
+    assert!(msg.starts_with("nested lock"), "{msg}");
+}
 
-    #[test]
-    fn held_stacks_are_per_thread() {
-        // One thread holding BETA must not poison another thread's
-        // ALPHA acquisition: the ordering is per-thread, not global.
-        let b = std::sync::Arc::new(OrderedMutex::new(BETA, ()));
-        let held = b.lock();
-        let worker = std::thread::spawn(|| {
-            let a = OrderedMutex::new(ALPHA, ());
-            drop(a.lock());
-        });
-        worker.join().expect("cross-thread acquisition is legal");
-        drop(held);
-    }
-
-    #[test]
-    fn observed_edges_record_actual_orders() {
-        let a = OrderedMutex::new(ALPHA, ());
-        let c = OrderedRwLock::new(GAMMA, ());
-        let ga = a.lock();
-        let gc = c.write();
-        drop(gc);
-        drop(ga);
-        let edges = gridwatch_sync::observed_edges();
-        assert!(
-            edges.contains(&("lockdep.alpha", "lockdep.gamma")),
-            "{edges:?}"
-        );
-    }
-
-    #[test]
-    fn out_of_order_release_keeps_stack_consistent() {
-        let a = OrderedMutex::new(ALPHA, ());
-        let b = OrderedMutex::new(BETA, ());
-        let ga = a.lock();
-        let gb = b.lock();
-        drop(ga); // release the *lower* rank first
-        let gc = OrderedMutex::new(GAMMA, ());
-        let g = gc.lock(); // must see only BETA held — legal
-        drop(g);
-        drop(gb);
-    }
+#[cfg(debug_assertions)]
+#[test]
+fn unwinding_frees_the_slot() {
+    // A caught nesting panic drops the held guard on the way out, so the
+    // thread can lock again afterwards.
+    let a = LeafMutex::new(());
+    let b = LeafMutex::new(());
+    let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ga = a.lock();
+        let _gb = b.lock();
+    }));
+    assert!(nested.is_err());
+    drop(b.lock());
+    drop(a.lock());
 }
