@@ -86,6 +86,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> every crate's unit tests (lib targets of the whole workspace)"
+# The named suites below run only some crates' integration tests; this
+# runs the unit tests inside each crate's src/ (timeseries, grid, core,
+# detect, store, sim, baselines, eval, audit, cli, ...).
+cargo test -q --workspace --lib
+
 echo "==> scoring contract: kernel table, row-memo coherence, persisted-format compatibility, CLI pins"
 # Tier-1 covers the facade package (and its paper-literal oracle); these
 # are the suites that pin the log-space scorer (table rows bit-equal to

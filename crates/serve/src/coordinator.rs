@@ -220,6 +220,8 @@ enum CoordMsg {
     Disconnected {
         shard: usize,
         epoch: u64,
+        /// EOF, the socket error, or the frame's decode error.
+        why: String,
     },
     CheckpointBegin(Cut<FabricError>),
 }
@@ -865,9 +867,10 @@ impl Coordinator {
 
 /// Reads one worker connection, forwarding everything into the merge
 /// channel; reports a disconnect (with this reader's epoch, so the
-/// merge thread can tell current from superseded connections) on EOF,
-/// error, or garbage.
+/// merge thread can tell current from superseded connections, and the
+/// reason) on EOF, error, or garbage.
 fn reader_loop(shard: usize, epoch: u64, mut stream: TcpStream, tx: Sender<CoordMsg>) {
+    let lost = |why: String| CoordMsg::Disconnected { shard, epoch, why };
     loop {
         let msg = match read_frame(&mut stream) {
             Ok(Some(payload)) => match decode_response(&payload) {
@@ -885,9 +888,10 @@ fn reader_loop(shard: usize, epoch: u64, mut stream: TcpStream, tx: Sender<Coord
                 },
                 // A duplicate ack is harmless protocol sloppiness.
                 Ok(FabricResponse::HelloAck { .. }) => continue,
-                Err(_) => CoordMsg::Disconnected { shard, epoch },
+                Err(e) => lost(e.to_string()),
             },
-            Ok(None) | Err(_) => CoordMsg::Disconnected { shard, epoch },
+            Ok(None) => lost("connection closed".to_string()),
+            Err(e) => lost(format!("read failed: {e}")),
         };
         let last = matches!(msg, CoordMsg::Disconnected { .. });
         if tx.send(msg).is_err() || last {
@@ -963,7 +967,7 @@ fn merge_loop<T: FnMut(Tally)>(
                     }
                 }
             }
-            CoordMsg::Disconnected { shard, epoch } => {
+            CoordMsg::Disconnected { shard, epoch, why } => {
                 let mut current = false;
                 if let Some(slot) = slots.get(shard) {
                     let mut slot = slot.lock();
@@ -977,11 +981,11 @@ fn merge_loop<T: FnMut(Tally)>(
                         stats.lock().disconnects += 1;
                         obs.recorder.record(
                             "disconnect",
-                            format_args!("shard {shard} reader lost (epoch {epoch})"),
+                            format_args!("shard {shard} reader lost (epoch {epoch}): {why}"),
                         );
                         gridwatch_obs::warn!(
                             "fabric",
-                            "gridwatch coordinator: shard {shard} worker disconnected (epoch {epoch})"
+                            "gridwatch coordinator: shard {shard} worker disconnected (epoch {epoch}): {why}"
                         );
                     }
                     // A checkpoint still waiting on this worker's state

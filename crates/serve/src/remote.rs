@@ -12,12 +12,19 @@
 //! `f64` per owned pair, independent of snapshot width.
 //!
 //! Frame format, both directions: a 4-byte big-endian length prefix
-//! followed by a JSON payload (the same framing as the JSON wire
-//! protocol, with a larger limit — `Hello` and `State` frames carry
-//! full model state). Downstream (coordinator → worker) a payload is
-//! either a snapshot frame or a control envelope
-//! `{"control": ...}` ([`FabricControl`]); upstream every payload is a
-//! [`FabricResponse`].
+//! and the payload, in one write (the JSON wire protocol's framing,
+//! with a larger limit — `Hello` and `State` carry full model state).
+//! Downstream (coordinator → worker) a payload is a JSON snapshot frame
+//! or a `{"control": ...}` envelope ([`FabricControl`]). Upstream it is
+//! a [`FabricResponse`], in JSON except for boards. A board is a
+//! self-describing binary frame: the tag byte `0xB0`, which no JSON
+//! starts with; varints (`gridwatch_store::codec`) for shard, epoch,
+//! seq, `score_ns`, the board instant and the span count; each
+//! [`SpanSlice`]; a varint pair count; then per pair in canonical order
+//! each endpoint's machine and `MetricKind::code` as varints and the
+//! score's `f64::to_bits` as 8 little-endian bytes. Raw bits keep the
+//! merged stream bit-identical, NaN included. Coordinator and workers
+//! must run the same build.
 //!
 //! The worker is deliberately stateless about placement: it learns its
 //! shard index, fabric epoch, and model slice from each session's
@@ -31,6 +38,7 @@
 //! (exit the process), or on a protocol error (drop the connection,
 //! keep listening).
 
+use std::error::Error;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +49,8 @@ use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{EngineSnapshot, ScoreBoard};
 use gridwatch_obs::{ExemplarConfig, Exposition, Metric, PipelineObs, SpanSlice, Stage};
+use gridwatch_store::codec::{put_string, put_varint, Reader};
+use gridwatch_timeseries::{MachineId, MeasurementId, MeasurementPair, MetricKind, Timestamp};
 
 use crate::checkpoint::CheckpointError;
 use crate::engine::{score_step, shard_engine, ScoredStep};
@@ -107,7 +117,8 @@ struct ControlEnvelope {
 }
 
 /// One partial score board from a remote shard (the fabric's wire
-/// extension: shipped upstream instead of raw samples).
+/// extension: shipped upstream instead of raw samples, as a binary
+/// frame; the serde derives exist only because [`FabricResponse`]'s do).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BoardFrame {
     /// The shard that produced the board.
@@ -118,21 +129,19 @@ pub struct BoardFrame {
     pub seq: u64,
     /// Wall-clock nanoseconds the worker spent scoring this snapshot;
     /// the coordinator folds it into its Score stage distribution.
-    /// Defaulted so boards from older workers (no such field) parse.
-    #[serde(default)]
     pub score_ns: u64,
     /// Worker-side span slices for this snapshot (ingest/decode/score),
     /// present only when the session's `Hello` asked for exemplars.
     /// Start offsets are relative to the worker's own clock epoch —
     /// slice durations and ordering are meaningful across the wire,
-    /// absolute starts are not. Defaulted so old boards parse.
-    #[serde(default)]
+    /// absolute starts are not.
     pub spans: Vec<SpanSlice>,
     /// The partial board (one score per pair owned by the shard).
     pub board: ScoreBoard,
 }
 
-/// Worker → coordinator messages.
+/// Worker → coordinator messages; a `Board` is never JSON (see
+/// [`encode_response`]).
 ///
 /// `State` dwarfs the other variants, but it cannot be boxed: the
 /// vendored serde derives have no `Box<T>` impls. One `State` exists
@@ -232,8 +241,11 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)
+    // One write: a payload sent apart from its prefix waits on Nagle.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)
 }
 
 /// Reads one length-prefixed fabric frame; `None` on clean EOF between
@@ -276,15 +288,135 @@ pub fn encode_control(control: &FabricControl) -> Result<Vec<u8>, FabricError> {
     .map_err(|e| FabricError::Protocol(format!("encode control: {e}")))
 }
 
-/// Encodes an upstream (worker → coordinator) response payload.
+/// First byte of a binary board frame: a UTF-8 continuation byte, so
+/// no JSON payload starts with it.
+const BOARD_TAG: u8 = 0xB0;
+
+/// Encodes an upstream (worker → coordinator) response payload: a
+/// board as a binary frame, anything else as JSON.
 pub fn encode_response(response: &FabricResponse) -> Result<Vec<u8>, FabricError> {
-    serde_json::to_vec(response).map_err(|e| FabricError::Protocol(format!("encode response: {e}")))
+    match response {
+        FabricResponse::Board(frame) => Ok(encode_board(frame)),
+        other => serde_json::to_vec(other)
+            .map_err(|e| FabricError::Protocol(format!("encode response: {e}"))),
+    }
 }
 
-/// Decodes an upstream (worker → coordinator) response payload.
+/// Decodes an upstream (worker → coordinator) response payload. A
+/// malformed board frame, and a board sent as JSON, is a
+/// [`FabricError::Protocol`].
 pub fn decode_response(payload: &[u8]) -> Result<FabricResponse, FabricError> {
-    serde_json::from_slice(payload)
-        .map_err(|e| FabricError::Protocol(format!("undecodable fabric response: {e}")))
+    if let Some((&BOARD_TAG, body)) = payload.split_first() {
+        return decode_board(body)
+            .map(FabricResponse::Board)
+            .map_err(|e| FabricError::Protocol(format!("malformed board frame: {e}")));
+    }
+    match serde_json::from_slice(payload) {
+        Ok(FabricResponse::Board(_)) => Err(FabricError::Protocol(
+            "a board must be a binary frame, not JSON".to_string(),
+        )),
+        Ok(response) => Ok(response),
+        Err(e) => Err(FabricError::Protocol(format!(
+            "undecodable fabric response: {e}"
+        ))),
+    }
+}
+
+fn encode_board(frame: &BoardFrame) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + 16 * frame.board.len());
+    out.push(BOARD_TAG);
+    let (at, spans) = (frame.board.at().as_secs(), frame.spans.len() as u64);
+    put_varint(&mut out, frame.shard as u64);
+    for v in [frame.epoch, frame.seq, frame.score_ns, at, spans] {
+        put_varint(&mut out, v);
+    }
+    for span in &frame.spans {
+        put_string(&mut out, &span.stage);
+        put_string(&mut out, &span.worker);
+        let flag = u64::from(span.shard.is_some());
+        for v in [span.start_ns, span.dur_ns, flag, span.shard.unwrap_or(0)] {
+            put_varint(&mut out, v);
+        }
+    }
+    put_varint(&mut out, frame.board.len() as u64);
+    for (pair, score) in frame.board.pair_scores() {
+        for m in [pair.first(), pair.second()] {
+            put_varint(&mut out, u64::from(m.machine().index()));
+            put_varint(&mut out, u64::from(m.metric().code()));
+        }
+        out.extend_from_slice(&score.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// Parses a board frame body (after the tag): canonical encodings
+/// only, and no count is trusted further than the bytes left could
+/// hold (a span takes at least 6 bytes, a pair 12).
+fn decode_board(body: &[u8]) -> Result<BoardFrame, Box<dyn Error>> {
+    let mut r = Reader::new(body);
+    let shard = narrow(r.varint()?, "shard")? as usize;
+    let [epoch, seq, score_ns, at] = [r.varint()?, r.varint()?, r.varint()?, r.varint()?];
+    let n = count(&mut r, 6)?;
+    let mut spans = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (stage, worker) = (r.string()?, r.string()?);
+        let [start_ns, dur_ns, flag, shard] = [r.varint()?, r.varint()?, r.varint()?, r.varint()?];
+        let shard = match (flag, shard) {
+            (0, 0) => None,
+            (1, shard) => Some(shard),
+            _ => return Err(format!("span shard flag {flag} with shard {shard}").into()),
+        };
+        spans.push(SpanSlice {
+            stage,
+            start_ns,
+            dur_ns,
+            shard,
+            worker,
+        });
+    }
+    let mut board = ScoreBoard::new(Timestamp::from_secs(at));
+    let mut last: Option<MeasurementPair> = None;
+    for _ in 0..count(&mut r, 12)? {
+        let (a, b) = (measurement(&mut r)?, measurement(&mut r)?);
+        let pair = MeasurementPair::new(a, b).ok_or_else(|| format!("self-pair of {a}"))?;
+        if pair.first() != a || last.is_some_and(|last| last >= pair) {
+            return Err(format!("pair {a} ~ {b} is out of canonical order").into());
+        }
+        let bits: [u8; 8] = r.take(8)?.try_into()?;
+        board.record(pair, f64::from_bits(u64::from_le_bytes(bits)));
+        last = Some(pair);
+    }
+    if !r.is_empty() {
+        return Err(format!("{} trailing bytes", r.remaining()).into());
+    }
+    Ok(BoardFrame {
+        shard,
+        epoch,
+        seq,
+        score_ns,
+        spans,
+        board,
+    })
+}
+
+/// Reads a count of items that take at least `min_bytes` each.
+fn count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, Box<dyn Error>> {
+    let n = r.varint()?;
+    let left = r.remaining();
+    let fits = usize::try_from(n).ok().filter(|&n| n <= left / min_bytes);
+    fits.ok_or_else(|| format!("count {n} overruns the {left} bytes left").into())
+}
+
+fn narrow(v: u64, what: &str) -> Result<u32, String> {
+    u32::try_from(v).map_err(|_| format!("{what} {v} out of range"))
+}
+
+fn measurement(r: &mut Reader<'_>) -> Result<MeasurementId, Box<dyn Error>> {
+    let machine = MachineId::new(narrow(r.varint()?, "machine")?);
+    let code = r.varint()?;
+    let metric = u32::try_from(code).ok().and_then(MetricKind::from_code);
+    let metric = metric.ok_or_else(|| format!("unknown metric code {code}"))?;
+    Ok(MeasurementId::new(machine, metric))
 }
 
 /// What a downstream (coordinator → worker) payload turned out to be.
@@ -565,6 +697,9 @@ fn session_loop(
     summary: &LeafMutex<WorkerSummary>,
     obs: &PipelineObs,
 ) -> Result<SessionEnd, FabricError> {
+    // Boards are small and latency-bound: send each as soon as it is
+    // written.
+    stream.set_nodelay(true).map_err(io_ctx("nodelay"))?;
     // Handshake: the first frame must be a Hello (or a Shutdown aimed
     // at an idle worker).
     let Some(payload) = read_frame(&mut stream).map_err(io_ctx("handshake read"))? else {
@@ -686,7 +821,7 @@ fn session_loop(
 mod tests {
     use super::*;
     use gridwatch_detect::{AlarmTracker, EngineConfig};
-    use gridwatch_timeseries::Timestamp;
+    use proptest::prelude::*;
 
     /// Pins the worker's `/metrics` document: every
     /// `gridwatch_worker_*` name, kind, help string and its order, plus
@@ -816,6 +951,86 @@ gridwatch_stage_ns_count{stage=\"decode\"} 1
         assert!(decode_downstream(b"garbage").is_err());
     }
 
+    /// A board's fields with every score as its bit pattern, so NaN
+    /// compares equal to itself.
+    fn board_bits(frame: &BoardFrame) -> impl PartialEq + std::fmt::Debug {
+        let scores: Vec<(MeasurementPair, u64)> = frame
+            .board
+            .pair_scores()
+            .map(|(pair, score)| (pair, score.to_bits()))
+            .collect();
+        let header = (frame.shard, frame.epoch, frame.seq, frame.score_ns);
+        (header, frame.spans.clone(), frame.board.at(), scores)
+    }
+
+    fn decoded_board(bytes: &[u8]) -> Result<BoardFrame, FabricError> {
+        match decode_response(bytes)? {
+            FabricResponse::Board(frame) => Ok(frame),
+            other => panic!("expected a board, got {other:?}"),
+        }
+    }
+
+    /// Scores that JSON could not carry bit for bit, or at all.
+    const AWKWARD_SCORES: [f64; 7] = [
+        -0.0,
+        0.0,
+        1.0,
+        f64::MIN_POSITIVE / 2.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+    ];
+
+    proptest! {
+        /// Any board — any header, spans or none, any machine, any
+        /// metric code, any score bits — decodes to exactly the frame
+        /// that was encoded, and every strict prefix of it is an error.
+        #[test]
+        fn board_frames_roundtrip_bit_for_bit_and_no_prefix_parses(
+            header in (0usize..1 << 20, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            spans in prop::collection::vec((any::<u64>(), any::<u64>(), 0u64..3), 0..3),
+            ids in prop::collection::vec((0u32..6, 0u32..6), 2..24),
+            scores in prop::collection::vec(any::<u64>(), 0..300),
+        ) {
+            let (shard, epoch, seq, score_ns, at) = header;
+            // Endpoints drawn from small indices into lists that hold
+            // the extremes: MachineId(u32::MAX), Custom(0), Custom(MAX).
+            let machines = [0, 1, 2, 1_000, u32::MAX - 1, u32::MAX];
+            let metrics = [0, 4, 8, 9, 9 + 300, 9 + u32::from(u16::MAX)];
+            let ids: Vec<MeasurementId> = ids
+                .iter()
+                .map(|&(m, k)| {
+                    let metric = MetricKind::from_code(metrics[k as usize]).unwrap();
+                    MeasurementId::new(MachineId::new(machines[m as usize]), metric)
+                })
+                .collect();
+            let mut board = ScoreBoard::new(Timestamp::from_secs(at));
+            let mut bits = scores.iter();
+            for (i, &a) in ids.iter().enumerate() {
+                for &b in &ids[i + 1..] {
+                    if let (Some(pair), Some(&raw)) = (MeasurementPair::new(a, b), bits.next()) {
+                        let awkward = AWKWARD_SCORES.get(raw as usize % 16).copied();
+                        board.record(pair, awkward.unwrap_or(f64::from_bits(raw)));
+                    }
+                }
+            }
+            let spans = spans
+                .into_iter()
+                .map(|(start_ns, dur_ns, shard)| SpanSlice {
+                    shard: shard.checked_sub(1),
+                    ..SpanSlice::new(Stage::ALL[(dur_ns % 7) as usize], start_ns, dur_ns, "worker-3")
+                })
+                .collect();
+            let frame = BoardFrame { shard, epoch, seq, score_ns, spans, board };
+            let bytes = encode_response(&FabricResponse::Board(frame.clone())).unwrap();
+            prop_assert_eq!(bytes[0], BOARD_TAG);
+            prop_assert_eq!(board_bits(&decoded_board(&bytes).unwrap()), board_bits(&frame));
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_response(&bytes[..cut]).is_err(), "prefix of {} bytes parsed", cut);
+            }
+        }
+    }
+
     #[test]
     fn responses_roundtrip() {
         let board = BoardFrame {
@@ -840,22 +1055,70 @@ gridwatch_stage_ns_count{stage=\"decode\"} 1
         assert!(decode_response(b"{}").is_err());
     }
 
+    /// A board frame assembled field by field so a test can forge any
+    /// of them: each entry of `ids` is one pair's machine and metric
+    /// code for both endpoints.
+    fn forged(shard: u64, spans: u64, ids: &[[u64; 4]]) -> Vec<u8> {
+        let mut out = vec![BOARD_TAG];
+        for v in [shard, 7, 41, 1_250, 360, spans, ids.len() as u64] {
+            put_varint(&mut out, v);
+        }
+        for pair in ids {
+            for &v in pair {
+                put_varint(&mut out, v);
+            }
+            out.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        }
+        out
+    }
+
     #[test]
-    fn pre_obs_wire_frames_still_parse() {
-        // A Board from a worker predating `score_ns` defaults to 0.
-        let old_board = format!(
-            "{{\"Board\":{{\"shard\":2,\"epoch\":7,\"seq\":41,\"board\":{}}}}}",
+    fn malformed_board_frames_are_protocol_errors() {
+        let good = forged(0, 0, &[[0, 0, 1, 0], [0, 1, 1, 0]]);
+        assert_eq!(decoded_board(&good).unwrap().board.len(), 2);
+
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut pair_count = forged(0, 0, &[]);
+        pair_count.pop();
+        put_varint(&mut pair_count, 1 << 40);
+        let mut span_flag = forged(0, 1, &[]);
+        span_flag.pop();
+        span_flag.extend_from_slice(&[0, 0, 0, 0, 2, 0]);
+        let json_board = format!(
+            "{{\"Board\":{{\"shard\":2,\"epoch\":7,\"seq\":41,\"score_ns\":0,\"spans\":[],\"board\":{}}}}}",
             serde_json::to_string(&ScoreBoard::new(Timestamp::from_secs(360))).unwrap()
         );
-        match decode_response(old_board.as_bytes()).unwrap() {
-            FabricResponse::Board(frame) => {
-                assert_eq!(frame.seq, 41);
-                assert_eq!(frame.score_ns, 0);
-                assert!(frame.spans.is_empty(), "missing spans default to none");
+        let cases: [(&str, Vec<u8>); 12] = [
+            ("trailing bytes", trailing),
+            ("shard out of range", forged(1 << 32, 0, &[[0, 0, 1, 0]])),
+            (
+                "unknown metric code",
+                forged(0, 0, &[[0, 9 + 65_536, 1, 0]]),
+            ),
+            ("machine out of range", forged(0, 0, &[[0, 0, 1 << 32, 0]])),
+            ("self-pair", forged(0, 0, &[[3, 2, 3, 2]])),
+            ("endpoints decreasing", forged(0, 0, &[[1, 0, 0, 0]])),
+            (
+                "pairs decreasing",
+                forged(0, 0, &[[0, 1, 1, 0], [0, 0, 1, 0]]),
+            ),
+            ("pair repeated", forged(0, 0, &[[0, 0, 1, 0], [0, 0, 1, 0]])),
+            ("span count beyond the bytes", forged(0, 1 << 40, &[])),
+            ("pair count beyond the bytes", pair_count),
+            ("span shard flag", span_flag),
+            ("a JSON board", json_board.into_bytes()),
+        ];
+        for (what, bytes) in cases {
+            match decode_response(&bytes) {
+                Err(FabricError::Protocol(_)) => {}
+                other => panic!("{what}: expected a protocol error, got {other:?}"),
             }
-            other => panic!("expected Board, got {other:?}"),
         }
+    }
 
+    #[test]
+    fn pre_obs_wire_frames_still_parse() {
         // A Hello from a coordinator predating `trace` defaults to off.
         let state = EngineSnapshot {
             config: EngineConfig::default(),

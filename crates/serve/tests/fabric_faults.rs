@@ -2,8 +2,8 @@
 //! the style of the `net_faults` suite: a scripted chaos worker speaks
 //! the fabric protocol byte-for-byte but misbehaves on cue, so every
 //! defense — per-(seq, shard) dedup, epoch fencing, shard-bound
-//! checks, degraded-checkpoint refusal, crash-resume — is exercised on
-//! demand instead of by timing luck.
+//! checks, undecodable boards, degraded-checkpoint refusal,
+//! crash-resume — is exercised on demand instead of by timing luck.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -101,6 +101,9 @@ enum Chaos {
         mute_after: u64,
         flush: Receiver<()>,
     },
+    /// Every board is sent one byte short: a well-framed payload that
+    /// does not decode, as from a peer running another build.
+    Truncate,
 }
 
 /// A scripted worker: honest protocol, dishonest delivery.
@@ -194,6 +197,13 @@ fn chaos_worker(listener: TcpListener, chaos: Chaos) -> JoinHandle<()> {
                                 let bytes =
                                     encode_response(&FabricResponse::Board(forged)).unwrap();
                                 write_frame(&mut stream, &bytes).expect("chaos board");
+                            }
+                        }
+                        Chaos::Truncate => {
+                            let mut bytes = encode_response(&FabricResponse::Board(good)).unwrap();
+                            bytes.pop();
+                            if write_frame(&mut stream, &bytes).is_err() {
+                                return;
                             }
                         }
                         Chaos::MuteThenFlush { mute_after, .. } => {
@@ -363,6 +373,50 @@ fn healed_partition_backlog_is_fenced_after_migration() {
     successor_handle.join().unwrap().unwrap();
     chaos_handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A board that does not decode drops its worker, and says why: the
+/// shard is marked dead, the flight recorder's `disconnect` event
+/// carries the decode error, and nothing panics.
+#[test]
+fn truncated_board_drops_the_worker_with_the_decode_error() {
+    let (engine, trace) = build_case(4, 6);
+
+    let honest = ShardWorker::bind("127.0.0.1:0").unwrap();
+    let honest_addr = honest.local_addr().to_string();
+    let honest_handle = std::thread::spawn(move || honest.run());
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let chaos_addr = listener.local_addr().unwrap().to_string();
+    let chaos_handle = chaos_worker(listener, Chaos::Truncate);
+
+    let mut coordinator =
+        Coordinator::connect(engine, &[honest_addr, chaos_addr], FabricConfig::default()).unwrap();
+    for snap in &trace {
+        coordinator.submit(snap.clone()).unwrap();
+    }
+    // The merge thread marks the shard dead before it records the
+    // event, so wait for the event.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let lost = loop {
+        let events = coordinator.obs().recorder.snapshot();
+        if let Some(event) = events.into_iter().find(|e| e.kind == "disconnect") {
+            break event;
+        }
+        assert!(Instant::now() < deadline, "no disconnect recorded");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert!(
+        lost.detail.starts_with("shard 1 ") && lost.detail.contains("malformed board frame"),
+        "the disconnect must name the decode error: {lost:?}"
+    );
+    assert_eq!(coordinator.dead_shards(), vec![1]);
+
+    let (reports, stats) = coordinator.shutdown(true);
+    assert!(reports.is_empty(), "no step can finalize without shard 1");
+    assert_eq!(stats.disconnects, 1);
+    honest_handle.join().unwrap().unwrap();
+    chaos_handle.join().unwrap();
 }
 
 /// Coordinator crash-resume: a new coordinator recovered from the

@@ -85,6 +85,42 @@ pub enum MetricKind {
     Custom(u16),
 }
 
+impl MetricKind {
+    /// A compact numeric code: the nine named kinds are `0..=8` in
+    /// declaration order, `Custom(t)` is `9 + t`. Codes sort like the
+    /// kinds themselves, so ordering by code is ordering by kind.
+    pub fn code(self) -> u32 {
+        match self {
+            MetricKind::CpuUtilization => 0,
+            MetricKind::MemoryUsage => 1,
+            MetricKind::FreeDiskSpace => 2,
+            MetricKind::IoThroughput => 3,
+            MetricKind::IfInOctetsRate => 4,
+            MetricKind::IfOutOctetsRate => 5,
+            MetricKind::PortInOctetsRate => 6,
+            MetricKind::PortOutOctetsRate => 7,
+            MetricKind::PortUtilization => 8,
+            MetricKind::Custom(tag) => 9 + u32::from(tag),
+        }
+    }
+
+    /// Inverse of [`MetricKind::code`]; `None` for a code no kind has.
+    pub fn from_code(code: u32) -> Option<MetricKind> {
+        Some(match code {
+            0 => MetricKind::CpuUtilization,
+            1 => MetricKind::MemoryUsage,
+            2 => MetricKind::FreeDiskSpace,
+            3 => MetricKind::IoThroughput,
+            4 => MetricKind::IfInOctetsRate,
+            5 => MetricKind::IfOutOctetsRate,
+            6 => MetricKind::PortInOctetsRate,
+            7 => MetricKind::PortOutOctetsRate,
+            8 => MetricKind::PortUtilization,
+            custom => MetricKind::Custom(u16::try_from(custom - 9).ok()?),
+        })
+    }
+}
+
 impl fmt::Display for MetricKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -369,6 +405,40 @@ mod tests {
         }
         assert!("NotAMetric".parse::<MetricKind>().is_err());
         assert!("Custom_notanumber".parse::<MetricKind>().is_err());
+    }
+
+    #[test]
+    fn metric_kind_code_roundtrips_and_sorts_like_the_kind() {
+        let kinds = [
+            MetricKind::CpuUtilization,
+            MetricKind::MemoryUsage,
+            MetricKind::FreeDiskSpace,
+            MetricKind::IoThroughput,
+            MetricKind::IfInOctetsRate,
+            MetricKind::IfOutOctetsRate,
+            MetricKind::PortInOctetsRate,
+            MetricKind::PortOutOctetsRate,
+            MetricKind::PortUtilization,
+            MetricKind::Custom(0),
+            MetricKind::Custom(42),
+            MetricKind::Custom(u16::MAX),
+        ];
+        for (k, kind) in kinds.iter().enumerate() {
+            assert_eq!(MetricKind::from_code(kind.code()), Some(*kind));
+            if k < 10 {
+                assert_eq!(
+                    kind.code(),
+                    k as u32,
+                    "named kinds are 0..=8, Custom(0) is 9"
+                );
+            }
+        }
+        for pair in kinds.windows(2) {
+            assert!(pair[0] < pair[1] && pair[0].code() < pair[1].code());
+        }
+        assert_eq!(MetricKind::Custom(u16::MAX).code(), 9 + 65_535);
+        assert_eq!(MetricKind::from_code(9 + 65_536), None);
+        assert_eq!(MetricKind::from_code(u32::MAX), None);
     }
 
     #[test]
