@@ -57,30 +57,11 @@ grep -rhoE 'expect\(clippy::[a-z_]+' "${lint_roots[@]%/lib.rs}" \
     | awk -v crates="${#lint_roots[@]}" '{ s = s sep $2 " " $1; sep = ", " }
         END { print "lint expectations over " crates " crates: " s " (goal: 0)" }'
 
-echo "==> gridwatch audit: concurrency pass"
-# Prints the concurrency trend line; fails on any lock taken or blocking
-# call made under a held guard (locks are leaves).
-cargo run -q -p gridwatch-cli -- audit --root .
-
-echo "==> gridwatch audit: fixture self-check"
-# The bad corpus must FAIL with both rules (the seeded nesting and the
-# guards held across blocking calls) and the good corpus must pass
-# (proves they don't over-fire).
-bad_out=$(cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/bad 2> /dev/null || true)
-for rule in nested-lock blocking-under-lock; do
-    if ! grep -q "\[$rule\]" <<< "$bad_out"; then
-        echo "audit self-check FAILED: $rule not flagged in the bad corpus" >&2
-        exit 1
-    fi
-done
-if cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/bad > /dev/null 2>&1; then
-    echo "audit self-check FAILED: bad fixture corpus passed the audit" >&2
-    exit 1
-fi
-cargo run -q -p gridwatch-cli -- audit --paths crates/audit/tests/fixtures/good > /dev/null
-
-echo "==> leaf rule at runtime: nesting and re-locking panic before blocking"
+echo "==> leaf rule at runtime: nesting, re-locking and blocking under a guard panic first"
 cargo test -q -p gridwatch-sync
+# The same suite in release: the check must be compiled out there (a
+# release-only test locks, nests and blocks under a guard and passes).
+cargo test -q --release -p gridwatch-sync
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -103,6 +84,43 @@ cargo test -q -p gridwatch-core --test row_cache_coherence
 cargo test -q -p gridwatch-audit --test checkpoint_validate
 cargo test -q -p gridwatch-cli --test cli
 
+echo "==> the paper's evaluation: repro all (release) equals repro_all_output.txt"
+# Every figure, ablation and the scale check, against the committed
+# golden. Only the lines that carry wall time or memory are masked,
+# each named by section and label: fig13b's three timing rows, and in
+# scale the training time, per-snapshot step, per-model update and peak
+# resident set rows plus the three checks that quote them (10 lines).
+# A masked check keeps its [PASS]/[FAIL]; any [FAIL] fails CI.
+mask_timing() {
+    awk '
+        /^=== / { section = $2; part = "" }
+        /^## / { part = $2 }
+        section == "fig13" && part == "fig13b:" && match($0, /^ *[0-9.]+-[0-9.]+ /) {
+            print substr($0, 1, RLENGTH) "<timing>"; next
+        }
+        section == "scale" && match($0, /^ *(training time|per-snapshot step \(serial\)|per-model update \(serial\)|peak resident set) /) {
+            print substr($0, 1, RLENGTH) "<timing>"; next
+        }
+        section == "scale" && match($0, /^  \[[A-Z]+\] (a full snapshot across all pairs|per-model update cost|the whole process)/) {
+            print substr($0, 1, RLENGTH) " <timing>"; next
+        }
+        { print }'
+}
+repro_dir=$(mktemp -d)
+repro_status=0
+cargo run -q --release -p gridwatch-eval --bin repro -- all --out "$repro_dir" \
+    > "$repro_dir/repro_all_output.txt" || repro_status=$?
+if grep -n '\[FAIL\]' "$repro_dir/repro_all_output.txt" >&2 || [ "$repro_status" -ne 0 ]; then
+    echo "repro all: a shape check failed (exit $repro_status)" >&2
+    exit 1
+fi
+if ! diff <(mask_timing < repro_all_output.txt) \
+          <(mask_timing < "$repro_dir/repro_all_output.txt") >&2; then
+    echo "repro all differs from repro_all_output.txt beyond the masked timing lines" >&2
+    exit 1
+fi
+rm -rf "$repro_dir"
+
 echo "==> perf ledger: unit tests + 1/50-size smoke of all four workloads"
 # Catches a refactor that breaks ledger/src/sut.rs or the report stream
 # before the benchmark driver does.
@@ -118,14 +136,19 @@ find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     END { print "non-test source lines: " n }'
 
 echo "==> every test of the crates that hold locks, leaf check armed (single-threaded)"
-# A debug build arms gridwatch-sync's leaf check, so a nested lock on any
-# path these tests execute panics with both sites. This covers the
+# A debug build arms gridwatch-sync's leaf check, so a nested lock, or a
+# blocking call under a guard, on any path these tests execute panics
+# with its sites. The suites that start servers and workers run under
+# `timeout`: a guard held across a blocking call can hang a peer instead
+# of failing, and a hang must fail CI rather than stall it. Each bound is
+# over 5x the step's time with its test targets compiled (this step: 71 s
+# on a 2-vCPU VM; the CLI and crash suites: 1-7 s). This covers the
 # observability goldens (exposition format, stats schema, burn, healthz),
 # network fault injection and the wire round trip, the multi-process
 # shard fabric, the history sink, sampling, sketch promotion parity,
 # trace exemplars, and serve's equivalence, recovery and sequencing
 # suites.
-cargo test -q -p gridwatch-serve -p gridwatch-obs -- --test-threads=1
+timeout 600 cargo test -q -p gridwatch-serve -p gridwatch-obs -- --test-threads=1
 
 echo "==> observability overhead gate (disabled tracing + exemplars must be free)"
 # Hard-gates both disabled hot paths at <= 15ns/step and prints the
@@ -133,8 +156,9 @@ echo "==> observability overhead gate (disabled tracing + exemplars must be free
 cargo bench -q -p gridwatch-bench --bench obs_overhead
 
 echo "==> TCP listener and multi-process fabric end to end (single-threaded, real processes)"
-cargo test -q -p gridwatch-cli --test listen -- --test-threads=1
-cargo test -q -p gridwatch-cli --test fabric -- --test-threads=1
+# Under `timeout` like the serve/obs step above: a hang fails CI.
+timeout 120 cargo test -q -p gridwatch-cli --test listen -- --test-threads=1
+timeout 120 cargo test -q -p gridwatch-cli --test fabric -- --test-threads=1
 
 echo "==> leaf-check overhead gate (release-build LeafMutex must be free)"
 cargo bench -q -p gridwatch-bench --bench lockdep_overhead
@@ -145,7 +169,7 @@ cargo test -q -p gridwatch-store --test corruption
 cargo test -q -p gridwatch-store --test proptests
 
 echo "==> history store: crash consistency (SIGKILL mid-append, real processes)"
-cargo test -q -p gridwatch-store --test crash_kill -- --test-threads=1
+timeout 120 cargo test -q -p gridwatch-store --test crash_kill -- --test-threads=1
 
 echo "==> chaos regimes: pinned per-regime goldens + drift pipeline e2e"
 cargo test -q -p gridwatch-cli --test chaos
@@ -169,6 +193,6 @@ echo "==> sketch overhead gate (disabled path <= 15ns/step) + posture trend line
 cargo bench -q -p gridwatch-bench --bench sketch_throughput
 
 echo "==> trace query + health plane e2e (gridwatch trace, /healthz flip)"
-cargo test -q -p gridwatch-cli --test trace -- --test-threads=1
+timeout 120 cargo test -q -p gridwatch-cli --test trace -- --test-threads=1
 
 echo "CI OK"

@@ -70,7 +70,7 @@ fn bench_sketch_throughput(c: &mut Criterion) {
     };
 
     // The sketch posture trend line CI prints alongside the lint and
-    // concurrency trend lines: the tracked/materialized split and sketch footprint of
+    // line-count trend lines: the tracked/materialized split and sketch footprint of
     // the benchmark engine after one scored step, so drift in the
     // gate's selectivity or the sketch's memory cost shows up in CI
     // logs over time.

@@ -1,32 +1,19 @@
-//! `gridwatch audit` — static analysis and checkpoint validation.
-//!
-//! The one front-end over the `gridwatch-audit` crate: the concurrency
-//! pass and fixture self-check CI runs, plus the offline checkpoint and
-//! store validators for use before `gridwatch serve --resume`.
+//! `gridwatch audit` — offline checkpoint and history-store validation,
+//! for use before `gridwatch serve --resume`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use gridwatch_audit::concurrency::{self, render_trend, render_violation, ConcurrencyReport};
-use gridwatch_audit::{checkpoint, find_workspace_root};
+use gridwatch_audit::checkpoint;
 
 use crate::flags::Flags;
 
 const HELP: &str = "\
-gridwatch audit [--root DIR]
-gridwatch audit --paths DIR
 gridwatch audit --checkpoint DIR
 gridwatch audit --store DIR
 
-  (no flag)         run the concurrency pass over the workspace:
-                    report every lock taken, and every blocking call
-                    made, while a guard is held (locks are leaves);
-                    fails on any finding
-  --root DIR        workspace root (default: walk up from the cwd)
-  --paths DIR       fixture mode: the same pass over every file under
-                    DIR
-  --checkpoint DIR  validate a checkpoint directory instead;
-                    run this before `gridwatch serve --resume` on a
-                    directory you do not trust
+  --checkpoint DIR  validate a checkpoint directory; run this before
+                    `gridwatch serve --resume` on a directory you do
+                    not trust
   --store DIR       validate a history store offline (read-only): torn
                     or truncated WAL tails, frame and block checksum
                     mismatches, overlapping or misaligned partitions,
@@ -37,18 +24,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let flags = Flags::parse(
-        "audit",
-        args,
-        &[],
-        &[&["root", "paths", "checkpoint", "store"]],
-    )?;
-
-    if let Some(dir) = flags.get::<String>("paths")? {
-        let report = concurrency::scan_concurrency_paths(Path::new(&dir))
-            .map_err(|e| format!("scanning {dir}: {e}"))?;
-        return finish(&report, &dir);
-    }
+    let flags = Flags::parse("audit", args, &[], &[&["checkpoint", "store"]])?;
 
     if let Some(dir) = flags.get::<String>("store")? {
         let report = gridwatch_store::validate_store(Path::new(&dir))
@@ -100,29 +76,5 @@ pub fn run(args: &[String]) -> Result<(), String> {
         };
     }
 
-    let root = match flags.get::<String>("root")? {
-        Some(r) => PathBuf::from(r),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
-            find_workspace_root(&cwd)
-                .ok_or("no workspace Cargo.toml above the current directory; pass --root")?
-        }
-    };
-    let report = concurrency::scan_concurrency(&root)
-        .map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    println!("{}", render_trend(&report));
-    finish(&report, &root.display().to_string())
-}
-
-/// Prints every finding; any finding fails the audit.
-fn finish(report: &ConcurrencyReport, scanned: &str) -> Result<(), String> {
-    for v in &report.violations {
-        println!("{}", render_violation(v));
-    }
-    println!("{} violation(s) in {scanned}", report.violations.len());
-    if report.violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{scanned} failed the concurrency pass"))
-    }
+    Err(format!("--checkpoint or --store is required\n{HELP}"))
 }

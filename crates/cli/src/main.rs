@@ -72,11 +72,9 @@ commands:
              [--alarmed] [--slowest K] [--format text|json] [--limit N]
   inspect    summarize a persisted engine
              --engine FILE [--verbose]
-  audit      check the workspace sources (or a fixture directory)
-             for nested locks and blocking under a lock,
-             validate a checkpoint directory offline before
+  audit      validate a checkpoint directory offline before
              `serve --resume`, or validate a history store
-             [--root DIR] | --paths DIR | --checkpoint DIR | --store DIR
+             --checkpoint DIR | --store DIR
 
 run `gridwatch <command> --help` for details";
 

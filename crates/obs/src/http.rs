@@ -18,6 +18,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use gridwatch_sync::may_block;
+
 /// Cap on request head size; anything longer is answered 400.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
@@ -128,8 +130,10 @@ impl MetricsServer {
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
+        may_block();
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.handle.take() {
+            may_block();
             let _ = handle.join();
         }
     }
@@ -145,6 +149,7 @@ impl Drop for MetricsServer {
 
 fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, routes: Routes) {
     loop {
+        may_block();
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
@@ -244,6 +249,7 @@ fn page(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
+    may_block();
     stream.write_all(header.as_bytes())?;
     if !head_only {
         stream.write_all(body.as_bytes())?;
@@ -281,6 +287,7 @@ pub fn scrape_method(
     method: &str,
     path: &str,
 ) -> std::io::Result<(String, String)> {
+    may_block();
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let request =

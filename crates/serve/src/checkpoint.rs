@@ -156,7 +156,9 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), CheckpointError> {
 ///
 /// Public so the CLI commands route their periodic stats dumps through
 /// the same torn-write-proof path as checkpoint files.
+#[track_caller]
 pub fn write_atomic(path: &Path, content: &str) -> Result<(), CheckpointError> {
+    gridwatch_sync::may_block();
     let tmp = path.with_extension("json.tmp");
     {
         let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;

@@ -41,8 +41,8 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
-use gridwatch_sync::LeafMutex;
+use gridwatch_sync::channel::{self, Receiver, Sender};
+use gridwatch_sync::{may_block, LeafMutex};
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{AlarmTracker, EngineSnapshot, Snapshot, StepReport};
@@ -573,6 +573,7 @@ impl Coordinator {
                 continue;
             };
             // encode_json output already carries the length prefix.
+            may_block();
             if std::io::Write::write_all(stream, &framed).is_err() {
                 self.mark_dead(shard);
             }
@@ -623,6 +624,7 @@ impl Coordinator {
         let epoch = self.epoch_counter;
         let entry = self.state_cache.lock()[shard].clone();
 
+        may_block();
         let mut stream =
             TcpStream::connect(&addr).map_err(io_ctx(&format!("connect worker {addr}")))?;
         stream
@@ -697,6 +699,7 @@ impl Coordinator {
                 snapshot: snapshot.clone(),
             })
             .map_err(|e| FabricError::Protocol(format!("encode replay frame: {e}")))?;
+            may_block();
             std::io::Write::write_all(&mut stream, &framed)
                 .map_err(io_ctx(&format!("replay to {addr}")))?;
         }
@@ -792,6 +795,7 @@ impl Coordinator {
                     "checkpoint {id} timed out waiting for worker states"
                 )));
             }
+            may_block();
             thread::sleep(Duration::from_millis(1));
         }
     }
@@ -846,9 +850,11 @@ impl Coordinator {
             if self.readers.iter().all(|reader| reader.is_finished()) {
                 break;
             }
+            may_block();
             thread::sleep(Duration::from_millis(1));
         }
         for reader in self.readers.drain(..) {
+            may_block();
             let _ = reader.join();
         }
         // Closing the channel lets the merge thread finish; it drops
@@ -858,6 +864,7 @@ impl Coordinator {
             reports.push(report);
         }
         if let Some(merge) = self.merge.take() {
+            may_block();
             let _ = merge.join();
         }
         let stats = *self.stats.lock();

@@ -44,13 +44,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use gridwatch_sync::channel::{self, Receiver, Sender, TrySendError};
 
 use gridwatch_detect::{
     AlarmTracker, DetectionEngine, EngineSnapshot, LifecycleKind, ScoreBoard, Snapshot, StepReport,
 };
 use gridwatch_obs::{BurnSample, FlightRecorder, PipelineObs, SpanSlice, Stage};
-use gridwatch_sync::LeafMutex;
+use gridwatch_sync::{may_block, LeafMutex};
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
 use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
@@ -651,12 +651,14 @@ impl ShardedEngine {
         // clones do not keep a queue connected.)
         drop(shard_senders);
         for worker in workers {
+            may_block();
             #[expect(clippy::expect_used, reason = "a join error re-raises a panic")]
             worker.join().expect("shard worker panicked");
         }
         // Now ours is the last reply sender: dropping it stops the
         // aggregator once it has merged everything.
         drop(reply_sender);
+        may_block();
         #[expect(clippy::expect_used, reason = "a join error re-raises a panic")]
         aggregator.join().expect("aggregator panicked");
         let mut reports = Vec::new();

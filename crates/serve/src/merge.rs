@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::PathBuf;
 
-use crossbeam::channel::Sender;
+use gridwatch_sync::channel::Sender;
 
 use gridwatch_detect::{AlarmTracker, EngineConfig, ScoreBoard, StepReport};
 use gridwatch_obs::{PipelineObs, SpanSlice, Stage};
@@ -420,8 +420,8 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use crossbeam::channel::{self, Receiver};
     use gridwatch_detect::AlarmPolicy;
+    use gridwatch_sync::channel::{self, Receiver};
     use gridwatch_timeseries::{MachineId, MeasurementId, MeasurementPair, MetricKind, Timestamp};
     use proptest::prelude::*;
     use rand::rngs::StdRng;

@@ -53,13 +53,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use gridwatch_sync::channel::{self, Receiver, Sender, TrySendError};
 // `LeafMutex` wraps `parking_lot::Mutex`, which does not poison: a
 // panicking stats writer cannot force every other thread to unwrap a
 // poisoned lock, which keeps the accept/ingest paths free of
 // `unwrap()/expect()`. Debug builds also check that no lock nests under
-// another (see `gridwatch-sync`).
-use gridwatch_sync::LeafMutex;
+// another and no blocking call runs under one (see `gridwatch-sync`).
+use gridwatch_sync::{may_block, LeafMutex};
 
 use gridwatch_detect::{EngineSnapshot, StepReport};
 use gridwatch_obs::{PipelineObs, Stage};
@@ -312,6 +312,7 @@ impl NetServer {
                     // last sender so it drains, checkpoints, and stops the
                     // engine before we report the spawn failure.
                     drop(frame_tx);
+                    may_block();
                     let _ = ingest.join();
                     return Err(e);
                 }
@@ -371,8 +372,10 @@ impl NetServer {
         self.stop.store(true, Ordering::SeqCst);
         // The accept loop sits in a blocking accept; a throwaway
         // connection to ourselves wakes it so it can observe the flag.
+        may_block();
         drop(TcpStream::connect(self.local_addr));
         if let Some(accept) = self.accept.take() {
+            may_block();
             if accept.join().is_err() {
                 gridwatch_obs::error!(
                     "net",
@@ -388,6 +391,7 @@ impl NetServer {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         for (_, handle) in entries {
+            may_block();
             if handle.join().is_err() {
                 gridwatch_obs::error!(
                     "net",
@@ -398,6 +402,7 @@ impl NetServer {
         // Ours is the last frame sender: dropping it lets the ingest
         // thread finish draining, checkpoint, and stop the engine.
         drop(self.frame_tx.take());
+        may_block();
         let mut reports = match self.ingest.take().map(JoinHandle::join) {
             Some(Ok(drained)) => drained,
             // A dead ingest thread (or a double shutdown, which the
@@ -436,6 +441,7 @@ fn accept_loop(
     obs: PipelineObs,
 ) {
     loop {
+        may_block();
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) if stop.load(Ordering::SeqCst) => break,

@@ -44,7 +44,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gridwatch_sync::LeafMutex;
+use gridwatch_sync::{may_block, LeafMutex};
 use serde::{Deserialize, Serialize};
 
 use gridwatch_detect::{EngineSnapshot, ScoreBoard};
@@ -231,7 +231,9 @@ pub(crate) fn io_ctx(context: &str) -> impl FnOnce(io::Error) -> FabricError + '
 }
 
 /// Writes one length-prefixed fabric frame.
+#[track_caller]
 pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
+    may_block();
     if payload.len() > FABRIC_FRAME_LIMIT {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -251,7 +253,9 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
 /// Reads one length-prefixed fabric frame; `None` on clean EOF between
 /// frames. EOF inside a frame is an error (a torn frame must not look
 /// like a graceful close).
+#[track_caller]
 pub fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
+    may_block();
     let mut len_buf = [0u8; 4];
     let mut filled = 0usize;
     while filled < len_buf.len() {
@@ -565,6 +569,7 @@ impl WorkerController {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         // Unblock a worker parked in accept().
+        may_block();
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -627,6 +632,7 @@ impl ShardWorker {
             if self.stop.load(Ordering::SeqCst) {
                 return Ok(*self.summary.lock());
             }
+            may_block();
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -652,9 +658,9 @@ impl ShardWorker {
                 "session-open",
                 format_args!("coordinator session {session_id} accepted"),
             );
-            *self.session.lock() = stream.try_clone().ok();
+            let session = SessionSlot::open(&self.session, &stream);
             let end = session_loop(stream, &self.summary, &self.obs);
-            *self.session.lock() = None;
+            drop(session);
             match end {
                 Ok(SessionEnd::Shutdown) => {
                     self.obs
@@ -687,6 +693,25 @@ impl ShardWorker {
                 }
             }
         }
+    }
+}
+
+/// The controller's clone of the live session socket, cleared when the
+/// session ends, by return or by unwind: a clone left open after a
+/// panicking session would keep the coordinator's reader from ever
+/// seeing EOF, and its shutdown from ever finishing.
+struct SessionSlot<'a>(&'a LeafMutex<Option<TcpStream>>);
+
+impl<'a> SessionSlot<'a> {
+    fn open(slot: &'a LeafMutex<Option<TcpStream>>, stream: &TcpStream) -> SessionSlot<'a> {
+        *slot.lock() = stream.try_clone().ok();
+        SessionSlot(slot)
+    }
+}
+
+impl Drop for SessionSlot<'_> {
+    fn drop(&mut self) {
+        *self.0.lock() = None;
     }
 }
 

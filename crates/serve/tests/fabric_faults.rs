@@ -10,7 +10,6 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use gridwatch_detect::{
     AlarmPolicy, AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, Snapshot, StepReport,
 };
@@ -18,6 +17,7 @@ use gridwatch_serve::{
     decode_downstream, encode_response, read_frame, write_frame, BoardFrame, Checkpointer,
     Coordinator, Downstream, FabricConfig, FabricControl, FabricError, FabricResponse, ShardWorker,
 };
+use gridwatch_sync::channel::{bounded, Receiver, Sender};
 use gridwatch_timeseries::{
     MachineId, MeasurementId, MeasurementPair, MetricKind, PairSeries, Timestamp,
 };

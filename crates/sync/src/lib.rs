@@ -1,22 +1,23 @@
-//! gridwatch-sync: the leaf mutex every gridwatch lock is built on.
+//! gridwatch-sync: the leaf mutex and the channels every gridwatch lock
+//! and queue is built on.
 //!
 //! One rule covers every lock in the workspace: **a lock is a leaf.** A
 //! thread that holds one takes no other lock and makes no blocking call.
 //! Two threads that each hold at most one lock cannot deadlock on each
 //! other's locks, so no ordering between locks needs to exist.
 //!
-//! [`LeafMutex`] wraps `parking_lot::Mutex` and checks the first half of
-//! the rule at runtime in every build with `debug_assertions` (every
-//! `cargo test`): a thread-local slot remembers the one lock the thread
-//! holds, and acquiring any lock while the slot is set panics *before*
-//! blocking, naming where both locks were created and acquired. Re-locking
-//! the same mutex is caught the same way. Release builds compile the
-//! check out; the wrapper is then a plain `parking_lot::Mutex`, which the
-//! `lockdep_overhead` bench hard-gates.
-//!
-//! The static side of the same rule is `gridwatch audit`, which flags a
-//! lock taken, or a blocking call made, under a held guard within one
-//! function (DESIGN.md §13).
+//! [`LeafMutex`] wraps `parking_lot::Mutex` and checks the rule at
+//! runtime in every build with `debug_assertions` (every `cargo test`): a
+//! thread-local slot remembers the one lock the thread holds, and
+//! acquiring any lock while the slot is set panics *before* blocking,
+//! naming where both locks were created and acquired. Re-locking the
+//! same mutex is caught the same way. [`may_block`] reads the same slot:
+//! every blocking choke point of the serving tier calls it first (the
+//! [`channel`] operations that wait, fabric frame I/O, socket writes,
+//! joins, sleeps, checkpoint writes), so a guard held across a blocking
+//! call panics too, however deep in a callee the call is. Release builds
+//! compile the check out; the wrapper is then a plain
+//! `parking_lot::Mutex`, which the `lockdep_overhead` bench hard-gates.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,9 +39,12 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 
+pub mod channel;
+
 #[cfg(debug_assertions)]
 mod leaf {
     use std::cell::Cell;
+    use std::fmt;
     use std::panic::Location;
 
     /// A source location recorded by `#[track_caller]`.
@@ -52,25 +56,48 @@ mod leaf {
         static HELD: Cell<Option<(Site, Site)>> = const { Cell::new(None) };
     }
 
+    /// Panics if this thread holds a lock, naming it after `doing`.
+    fn assert_free(doing: fmt::Arguments<'_>) {
+        #[expect(clippy::panic, reason = "fail-stop is the leaf check's contract")]
+        if let Some((held_created, held_at)) = HELD.get() {
+            panic!(
+                "{doing} while holding the lock created at {held_created} \
+                 (acquired at {held_at}); gridwatch locks are leaves"
+            );
+        }
+    }
+
     /// Claims this thread's slot for the lock created at `created`.
     /// Panics before the caller blocks if the slot is already taken: the
     /// acquisition would nest, or re-lock the held mutex and hang.
     pub(super) fn acquire(created: Site, at: Site) {
-        #[expect(clippy::panic, reason = "fail-stop is the leaf check's contract")]
-        if let Some((held_created, held_at)) = HELD.get() {
-            panic!(
-                "nested lock: acquiring the lock created at {created} (at {at}) while \
-                 holding the lock created at {held_created} (acquired at {held_at}); \
-                 gridwatch locks are leaves"
-            );
-        }
+        assert_free(format_args!(
+            "nested lock: acquiring the lock created at {created} (at {at})"
+        ));
         HELD.set(Some((created, at)));
+    }
+
+    /// Panics if this thread holds a lock: the caller at `at` is about
+    /// to block with the guard still held.
+    pub(super) fn blocking(at: Site) {
+        assert_free(format_args!("blocking call at {at}"));
     }
 
     /// Frees this thread's slot.
     pub(super) fn release() {
         HELD.set(None);
     }
+}
+
+/// Marks a call that may block. In debug builds, panics if this thread
+/// holds a [`LeafMutex`], naming where that lock was created and acquired
+/// and where the blocking call is made. Release builds compile it to
+/// nothing.
+#[track_caller]
+#[inline]
+pub fn may_block() {
+    #[cfg(debug_assertions)]
+    leaf::blocking(Location::caller());
 }
 
 /// A mutex under the leaf rule; see the crate docs.
