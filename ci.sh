@@ -145,14 +145,13 @@ echo "==> every test of the crates that hold locks, leaf check armed (single-thr
 # on a 2-vCPU VM; the CLI and crash suites: 1-7 s). This covers the
 # observability goldens (exposition format, stats schema, burn, healthz),
 # network fault injection and the wire round trip, the multi-process
-# shard fabric, the history sink, sampling, sketch promotion parity,
-# trace exemplars, and serve's equivalence, recovery and sequencing
-# suites.
+# shard fabric, the history sink, sampling, trace exemplars, and serve's
+# equivalence, recovery and sequencing suites.
 timeout 600 cargo test -q -p gridwatch-serve -p gridwatch-obs -- --test-threads=1
 
 echo "==> observability overhead gate (disabled tracing + exemplars must be free)"
-# Hard-gates both disabled hot paths at <= 15ns/step and prints the
-# fourth CI trend line: exemplar posture (retained / dropped / bytes).
+# Hard-gates both disabled hot paths at <= 15ns/step and prints a
+# CI trend line: exemplar posture (retained / dropped / bytes).
 cargo bench -q -p gridwatch-bench --bench obs_overhead
 
 echo "==> TCP listener and multi-process fabric end to end (single-threaded, real processes)"
@@ -183,14 +182,6 @@ cargo run -q --release -p gridwatch-cli -- eval --chaos \
 
 echo "==> drift overhead gate (disabled drift path must be free)"
 cargo bench -q -p gridwatch-bench --bench chaos_step
-
-echo "==> sketch gate: no oscillation at the threshold (proptest) + gated pipeline"
-cargo test -q -p gridwatch-detect --test sketch_props
-
-echo "==> sketch overhead gate (disabled path <= 15ns/step) + posture trend line"
-# Prints the third CI trend line: tracked pairs / materialized models /
-# sketch bytes on the benchmark engine.
-cargo bench -q -p gridwatch-bench --bench sketch_throughput
 
 echo "==> trace query + health plane e2e (gridwatch trace, /healthz flip)"
 timeout 120 cargo test -q -p gridwatch-cli --test trace -- --test-threads=1

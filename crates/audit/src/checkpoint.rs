@@ -54,6 +54,7 @@ const MANIFEST_KEYS: &[&str] = &[
     "sources",
     "fabric_epoch",
     "remote",
+    // Written by older builds' sketch layer; accepted and ignored.
     "candidate_pairs",
     "sketch_promotions",
     "sketch_demotions",

@@ -61,13 +61,11 @@ fn pristine() -> &'static (String, Vec<(String, String)>) {
             config: full.config,
             models: full.models[..2].to_vec(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let right = EngineSnapshot {
             config: full.config,
             models: full.models[2..].to_vec(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let manifest = CheckpointManifest {
             version: 1,
@@ -79,9 +77,6 @@ fn pristine() -> &'static (String, Vec<(String, String)>) {
             sources: std::collections::BTreeMap::from([("agent-1".to_string(), 9)]),
             fabric_epoch: 0,
             remote: Vec::new(),
-            candidate_pairs: 0,
-            sketch_promotions: 0,
-            sketch_demotions: 0,
         };
         (
             serde_json::to_string_pretty(&manifest).unwrap(),
@@ -126,6 +121,19 @@ fn load<T: Deserialize>(name: &str) -> T {
     serde_json::from_str(text.trim_end()).unwrap_or_else(|e| panic!("{name} no longer loads: {e}"))
 }
 
+/// The keys the removed sketch layer wrote: 41 candidate pairs split
+/// over the compat checkpoint's two shard files, and their total in
+/// the manifest.
+#[derive(Deserialize)]
+struct SketchCandidates {
+    candidates: Vec<MeasurementPair>,
+}
+
+#[derive(Deserialize)]
+struct SketchManifest {
+    candidate_pairs: usize,
+}
+
 /// Every persisted format still loads from the files this code wrote
 /// once: a two-shard fabric checkpoint with drift, sketch candidates and
 /// a remote table, a `--stats` document of a `--listen` run with one
@@ -148,19 +156,44 @@ fn committed_compat_fixtures_still_load_and_resume() {
     assert_eq!(health.shards.len(), 2);
 
     let manifest: CheckpointManifest = load("checkpoint/manifest.json");
-    assert!(manifest.config.drift.is_some() && manifest.config.sketch.is_some());
+    assert!(manifest.config.drift.is_some());
     assert_eq!(manifest.remote.len(), 2);
-    for shard in &manifest.shard_files {
-        let _: EngineSnapshot = load(&format!("checkpoint/{shard}"));
+    let manifest_text = fs::read_to_string(compat("checkpoint/manifest.json")).unwrap();
+    for key in [
+        "\"sketch\": {",
+        "\"candidate_pairs\"",
+        "\"sketch_promotions\"",
+        "\"sketch_demotions\"",
+    ] {
+        assert!(manifest_text.contains(key), "the fixture lost {key}");
     }
+    let mut models = Vec::new();
+    let mut candidates = Vec::new();
+    for shard in &manifest.shard_files {
+        let name = format!("checkpoint/{shard}");
+        let text = fs::read_to_string(compat(&name)).unwrap();
+        assert!(text.contains("\"sketch\":{") && text.contains("\"candidates\":["));
+        let snapshot: EngineSnapshot = load(&name);
+        models.extend(snapshot.models.into_iter().map(|(pair, _)| pair));
+        candidates.extend(load::<SketchCandidates>(&name).candidates);
+    }
+    assert_eq!(candidates.len(), 41);
+    assert_eq!(
+        load::<SketchManifest>("checkpoint/manifest.json").candidate_pairs,
+        candidates.len()
+    );
 
     let dir = compat("checkpoint");
     let report = validate_checkpoint(&dir);
     assert!(report.is_valid(), "{:#?}", report.problems);
+    // The candidates are dropped on resume: the engine owns exactly the
+    // fixture's models, and every one of them scores.
     let (snapshot, _) = Checkpointer::new(&dir).recover().unwrap();
-    assert!(!snapshot.candidates.is_empty());
-    let pairs: Vec<MeasurementPair> = snapshot.models.iter().map(|(pair, _)| *pair).collect();
     let mut engine = DetectionEngine::from_snapshot(snapshot);
+    let pairs: Vec<MeasurementPair> = engine.pairs().collect();
+    models.sort();
+    assert_eq!(pairs, models);
+    assert!(candidates.iter().all(|pair| engine.model(*pair).is_none()));
     let mut snap = Snapshot::new(Timestamp::from_secs(16 * 86_400));
     for pair in &pairs {
         snap.insert(pair.first(), 1.0);
@@ -250,57 +283,40 @@ fn rejects_corruptions_that_resume_would_accept() {
     cleanup(&dir);
 }
 
-/// A checkpoint written before the sketch gate existed (no
-/// `candidate_pairs` / `sketch_promotions` / `sketch_demotions` keys in
-/// the manifest, no `candidates` list in the shard snapshots) must
-/// still pass `gridwatch audit --checkpoint` and `--resume`: every new
-/// field is `#[serde(default)]` and registered with the validator's
-/// key schema.
-#[test]
-fn pre_sketch_checkpoint_still_validates_and_resumes() {
-    let (manifest, shards) = pristine();
-    let legacy_manifest = manifest
-        .replace(",\n  \"candidate_pairs\": 0", "")
-        .replace(",\n  \"sketch_promotions\": 0", "")
-        .replace(",\n  \"sketch_demotions\": 0", "")
-        // EngineConfig predating the gate had no `sketch` key either.
-        .replace(",\n    \"sketch\": null", "");
-    assert!(!legacy_manifest.contains("sketch"), "{legacy_manifest}");
-    assert_ne!(&legacy_manifest, manifest, "fixture must actually change");
-    let dir = materialize("pre-sketch", &legacy_manifest);
-    for (name, json) in shards {
-        let legacy_shard = json
-            .replace(",\"candidates\":[]", "")
-            .replace(",\"sketch\":null", "");
-        assert_ne!(&legacy_shard, json, "shard fixture must actually change");
-        assert!(!legacy_shard.contains("sketch"), "{legacy_shard}");
-        fs::write(dir.join(name), legacy_shard).unwrap();
-    }
-    // validate_checkpoint is exactly what `gridwatch audit --checkpoint`
-    // runs.
-    let report = validate_checkpoint(&dir);
-    assert!(report.is_valid(), "{:#?}", report.problems);
-    assert_eq!(report.shards_checked, 2);
-    let (snapshot, _manifest) = Checkpointer::new(&dir).recover().unwrap();
-    assert!(snapshot.candidates.is_empty());
-    assert_eq!(snapshot.models.len(), 3);
-    cleanup(&dir);
-}
-
 /// What older code wrote before knobs were removed: the same documents
 /// plus, from `train --row-format quantized` before the compact row
 /// formats and `EngineConfig::parallel` went, a `row_format` key in
 /// every `ModelConfig` and `TransitionMatrix` and a `parallel` key in
 /// every `EngineConfig`; and, from before count forgetting went,
 /// `forgetting_factor`/`forgetting_period` in every `ModelConfig` and
-/// `since_forgetting` in every `TransitionModel`.
+/// `since_forgetting` in every `TransitionModel`; and, from before the
+/// sketch layer went, a `sketch` config in every `EngineConfig`, a
+/// `candidates` list in every `EngineSnapshot` and three counters in
+/// every manifest.
 fn with_removed_knobs(json: &str) -> String {
+    let mk = |m: u32, t: u16| MeasurementId::new(MachineId::new(m), MetricKind::Custom(t));
+    let candidate = MeasurementPair::new(mk(2, 0), mk(2, 1)).unwrap();
+    let candidates = format!(
+        "\"candidates\":[{}],\"models\"",
+        serde_json::to_string(&candidate).unwrap()
+    );
     // `kernel` is a key of exactly the two structs that carried
     // `row_format`; `alarm` is a key of `EngineConfig` alone;
     // `update_threshold` of `ModelConfig` alone; `updates_skipped` of
-    // `TransitionModel` alone.
+    // `TransitionModel` alone; `models` of `EngineSnapshot` alone;
+    // `fabric_epoch` of `CheckpointManifest` alone.
     json.replace("\"kernel\"", "\"row_format\":\"Quantized\",\"kernel\"")
-        .replace("\"alarm\"", "\"parallel\":true,\"alarm\"")
+        .replace(
+            "\"alarm\"",
+            "\"parallel\":true,\"sketch\":{\"depth\":16,\"admit_score\":0.6,\
+             \"demote_score\":0.25,\"max_materialized\":0},\"alarm\"",
+        )
+        .replace("\"models\"", &candidates)
+        .replace(
+            "\"fabric_epoch\"",
+            "\"candidate_pairs\":41,\"sketch_promotions\":3,\"sketch_demotions\":1,\
+             \"fabric_epoch\"",
+        )
         .replace(
             "\"update_threshold\"",
             "\"forgetting_factor\":1.0,\"forgetting_period\":240,\"update_threshold\"",
@@ -329,12 +345,15 @@ fn report_stream(snapshot: EngineSnapshot) -> Vec<StepReport> {
 }
 
 /// Snapshots and checkpoints that still carry the removed `row_format`,
-/// `parallel` and forgetting keys load (serde ignores them), pass
-/// `gridwatch audit --checkpoint`, and score exactly as the same state
-/// without the keys: the first two selected an in-memory row
-/// representation and a threading mode, and no front ever set the
-/// forgetting factor below its no-op `1.0`. The committed compat
-/// checkpoint carries the forgetting keys as written.
+/// `parallel`, forgetting and sketch keys load (serde ignores them),
+/// pass `gridwatch audit --checkpoint`, and score exactly as the same
+/// state without the keys: the first two selected an in-memory row
+/// representation and a threading mode, no front ever set the
+/// forgetting factor below its no-op `1.0`, and a sketch candidate
+/// never owned a model, so dropping it leaves the model set as it was.
+/// What this code writes carries none of the keys. The committed
+/// compat checkpoint carries the forgetting and sketch keys as
+/// written.
 #[test]
 fn removed_config_keys_are_ignored() {
     let fixture = fs::read_to_string(compat("checkpoint/shard-0.json")).unwrap();
@@ -346,11 +365,15 @@ fn removed_config_keys_are_ignored() {
     let json = serde_json::to_string(&original).unwrap();
     assert!(!json.contains("row_format") && !json.contains("parallel"));
     assert!(!json.contains("forgetting"));
+    assert!(!json.contains("sketch") && !json.contains("candidates"));
     let injected = with_removed_knobs(&json);
     // One ModelConfig in the engine config, then a ModelConfig and a
     // TransitionMatrix per model; one EngineConfig.
     assert_eq!(injected.matches("\"row_format\"").count(), 1 + 2 * models);
     assert_eq!(injected.matches("\"parallel\"").count(), 1);
+    assert_eq!(injected.matches("\"sketch\"").count(), 1);
+    assert_eq!(injected.matches("\"candidates\"").count(), 1);
+    assert_eq!(injected.matches("\"candidate_pairs\"").count(), 0);
     assert_eq!(
         injected.matches("\"forgetting_period\"").count(),
         1 + models
@@ -363,18 +386,27 @@ fn removed_config_keys_are_ignored() {
     assert_eq!(report_stream(loaded), expected);
 
     let (manifest, shards) = pristine();
+    assert!(!manifest.contains("sketch") && !manifest.contains("candidate"));
     let dir = materialize("removed-knobs", &with_removed_knobs(manifest));
     let mut shard_keys = 0;
     for (name, shard) in shards {
+        assert!(!shard.contains("sketch") && !shard.contains("candidates"));
         let injected = with_removed_knobs(shard);
         shard_keys += injected.matches("\"row_format\"").count();
         assert_eq!(injected.matches("\"parallel\"").count(), 1);
+        assert_eq!(injected.matches("\"sketch\"").count(), 1);
+        assert_eq!(injected.matches("\"candidates\"").count(), 1);
         fs::write(dir.join(name), injected).unwrap();
     }
     assert_eq!(shard_keys, shards.len() + 2 * models);
     let manifest_text = fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert_eq!(manifest_text.matches("\"row_format\"").count(), 1);
     assert_eq!(manifest_text.matches("\"parallel\"").count(), 1);
+    assert_eq!(manifest_text.matches("\"sketch\"").count(), 1);
+    assert_eq!(manifest_text.matches("\"candidates\"").count(), 0);
+    for key in ["candidate_pairs", "sketch_promotions", "sketch_demotions"] {
+        assert_eq!(manifest_text.matches(&format!("\"{key}\"")).count(), 1);
+    }
     // validate_checkpoint is exactly what `gridwatch audit --checkpoint`
     // runs.
     let report = validate_checkpoint(&dir);

@@ -1,5 +1,5 @@
 //! Shared fixtures for the Criterion gate benches: a simulated trace
-//! and the engines trained on it.
+//! and the engine trained on it.
 
 use std::collections::BTreeMap;
 
@@ -76,41 +76,6 @@ pub fn trained_drift_engine(
     .expect("benchmark engine trains")
 }
 
-/// An engine for the sketch benches: up to `max_pairs` trained models
-/// and, when `sketch` is set, every *other* screened pair registered as
-/// a sketch-only candidate (the million-measurement posture: few
-/// materialized models, many cheap tracked pairs).
-pub fn trained_sketch_engine(
-    trace: &Trace,
-    max_pairs: usize,
-    sketch: Option<gridwatch_detect::SketchConfig>,
-) -> DetectionEngine {
-    let training = training_window(trace);
-    let screen = PairScreen {
-        min_cv: 0.05,
-        ..PairScreen::default()
-    };
-    let mut pairs = screen.select(&training);
-    let overflow = if pairs.len() > max_pairs {
-        pairs.split_off(max_pairs)
-    } else {
-        Vec::new()
-    };
-    let sketched = sketch.is_some();
-    let mut engine = DetectionEngine::train(
-        histories(&training, pairs),
-        EngineConfig {
-            sketch,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("benchmark engine trains");
-    if sketched {
-        engine.add_candidates(overflow);
-    }
-    engine
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,12 +85,5 @@ mod tests {
         let t = trace(2);
         let drifting = trained_drift_engine(&t, 5, Some(gridwatch_detect::DriftConfig::default()));
         assert!(drifting.model_count() > 0);
-        let sketched =
-            trained_sketch_engine(&t, 3, Some(gridwatch_detect::SketchConfig::default()));
-        assert_eq!(sketched.model_count(), 3);
-        assert!(
-            sketched.tracked_pair_count() > sketched.model_count(),
-            "screen overflow becomes sketch candidates"
-        );
     }
 }

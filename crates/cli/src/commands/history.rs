@@ -40,7 +40,7 @@ score filters (with --kind scores):
 
 event filters (with --kind events):
   --event-kind K       only events of kind K (e.g. alarm, rebuild,
-                       promote, demote, checkpoint)
+                       checkpoint)
 
 output:
   --format F           json | csv                     (default csv)

@@ -7,7 +7,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use gridwatch_detect::{EngineSnapshot, SketchConfig, Snapshot, StepReport};
+use gridwatch_detect::{EngineSnapshot, Snapshot, StepReport};
 use gridwatch_serve::{
     BackpressurePolicy, Checkpointer, HistorySink, NetConfig, NetServer, SamplingConfig,
     ServeConfig, ServeStats, ShardedEngine, StatsProbe, WireProtocol,
@@ -50,24 +50,6 @@ engine:
                             instead of --engine
   --stats FILE              write serving stats as JSON (flushed at every
                             checkpoint, and again at exit)
-
-sketch gate (overrides the snapshot's sketch config; giving any of
-these to a snapshot without one enables the gate with defaults):
-  --sketch-depth N          sketch lanes per measurement; estimator
-                            noise falls as 1/sqrt(N); 0 disables the
-                            gate entirely               (default 16)
-  --sketch-admit X          promote a candidate to a full grid model
-                            after --sketch-admit-rounds consecutive
-                            rescores at or above X       (default 0.6)
-  --sketch-demote X         demote a materialized model after
-                            consecutive rescores below X (default 0.25)
-  --sketch-admit-rounds N   rescores needed to promote    (default 3)
-  --sketch-demote-rounds N  rescores needed to demote     (default 6)
-  --sketch-cooldown N       snapshots a pair is frozen after any
-                            promotion or demotion        (default 120)
-  --sketch-rescore-every N  rescore cadence in snapshots  (default 8)
-  --sketch-max-materialized N  hard cap on sketch-promoted models;
-                            0 means unlimited            (default 0)
 
 history store:
   --store DIR               append score history, stats samples, and
@@ -117,7 +99,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             &["sample-watermark", "sample-stride"],
             &["protocol", "read-timeout", "max-frame-bytes"],
             &["ingest-capacity", "reorder-capacity"],
-            SKETCH_FLAGS,
             ALARM_FLAGS,
             STORE_FLAGS,
             EXEMPLAR_FLAGS,
@@ -186,54 +167,7 @@ fn load_snapshot(
         load_engine(&flags.require::<String>("engine")?)?
     };
     apply_alarm_flags(flags, &mut snapshot)?;
-    apply_sketch_flags(flags, &mut snapshot)?;
     Ok((snapshot, sources))
-}
-
-/// The flags [`apply_sketch_flags`] reads.
-const SKETCH_FLAGS: &[&str] = &[
-    "sketch-depth",
-    "sketch-admit",
-    "sketch-demote",
-    "sketch-admit-rounds",
-    "sketch-demote-rounds",
-    "sketch-cooldown",
-    "sketch-rescore-every",
-    "sketch-max-materialized",
-];
-
-/// Applies `--sketch-*` overrides onto the snapshot's engine config,
-/// mirroring the alarm flags above. A snapshot without a sketch config
-/// gains one (from defaults) as soon as any override is given;
-/// `--sketch-depth 0` removes the gate entirely.
-fn apply_sketch_flags(flags: &Flags, snapshot: &mut EngineSnapshot) -> Result<(), String> {
-    let overridden = SKETCH_FLAGS
-        .iter()
-        .any(|name| matches!(flags.get::<String>(name), Ok(Some(_))));
-    if snapshot.config.sketch.is_none() && !overridden {
-        return Ok(());
-    }
-    let base = snapshot.config.sketch.unwrap_or_default();
-    let sketch = SketchConfig {
-        depth: flags.get_or("sketch-depth", base.depth)?,
-        admit_score: flags.get_or("sketch-admit", base.admit_score)?,
-        demote_score: flags.get_or("sketch-demote", base.demote_score)?,
-        admit_rounds: flags.get_or("sketch-admit-rounds", base.admit_rounds)?,
-        demote_rounds: flags.get_or("sketch-demote-rounds", base.demote_rounds)?,
-        cooldown: flags.get_or("sketch-cooldown", base.cooldown)?,
-        rescore_every: flags.get_or("sketch-rescore-every", base.rescore_every)?,
-        max_materialized: flags.get_or("sketch-max-materialized", base.max_materialized)?,
-        ..base
-    };
-    if sketch.admit_score < sketch.demote_score {
-        return Err(format!(
-            "--sketch-admit ({}) must be at or above --sketch-demote ({}): \
-             the hysteresis band keeps threshold pairs from oscillating",
-            sketch.admit_score, sketch.demote_score
-        ));
-    }
-    snapshot.config.sketch = (sketch.depth > 0).then_some(sketch);
-    Ok(())
 }
 
 /// The in-process ingestion front as the replay driver sees it.

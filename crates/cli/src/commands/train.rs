@@ -25,13 +25,7 @@ gridwatch train --trace FILE --out FILE [flags]
                    for drift to stay observable; pair with --drift)
   --drift          enable the drift layer: sustained pair-fitness
                    decay triggers an online rebuild of that pair's
-                   model from recent history
-  --sketch         enable sketch-gated pair selection: pairs beyond
-                   the --max-pairs cap are kept as sketch candidates
-                   instead of dropped — a streaming correlation
-                   sketch scores them per snapshot and only pairs
-                   clearing the admission threshold get a grid model
-                   (tune at serve time with the --sketch-* flags)";
+                   model from recent history";
 
 pub fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -41,7 +35,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         "train",
         args,
-        &["frozen", "drift", "sketch"],
+        &["frozen", "drift"],
         &[&["trace", "out", "train-days", "max-pairs", "min-cv", "delta"]],
     )?;
     let trace_path: String = flags.require("trace")?;
@@ -53,20 +47,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let trace = load_trace(&trace_path)?;
     let training = trace_window(&trace, Timestamp::EPOCH, Timestamp::from_days(train_days));
-    // Under --sketch the cap moves from the screen to the split below:
-    // overflow pairs become sketch candidates instead of being dropped.
-    let sketched = flags.has("sketch");
     let screen = PairScreen {
         min_cv,
-        max_pairs: (!sketched).then_some(max_pairs),
+        max_pairs: Some(max_pairs),
         ..PairScreen::default()
     };
-    let mut pairs = screen.select(&training);
-    let overflow = if sketched && pairs.len() > max_pairs {
-        pairs.split_off(max_pairs)
-    } else {
-        Vec::new()
-    };
+    let pairs = screen.select(&training);
     if pairs.is_empty() {
         return Err(format!(
             "the variance screen kept no measurement pairs \
@@ -98,15 +84,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         drift: flags
             .has("drift")
             .then(gridwatch_detect::DriftConfig::default),
-        sketch: sketched.then(gridwatch_detect::SketchConfig::default),
         ..EngineConfig::default()
     };
-    let mut engine = DetectionEngine::train(histories, config).map_err(|e| e.to_string())?;
-    if !overflow.is_empty() {
-        let tracked = overflow.len();
-        engine.add_candidates(overflow);
-        println!("sketch-tracking {tracked} candidate pairs beyond the --max-pairs cap");
-    }
+    let engine = DetectionEngine::train(histories, config).map_err(|e| e.to_string())?;
 
     let outcome = engine.training_outcome();
     println!(

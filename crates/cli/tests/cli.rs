@@ -394,6 +394,7 @@ fn monitor_flag_validation() {
     // required flag is asked for.
     assert_unknown_flag(&["simulate", "--day", "3"], "--day");
     assert_unknown_flag(&["train", "--row-format", "quantized"], "--row-format");
+    assert_unknown_flag(&["train", "--sketch"], "--sketch");
     assert_unknown_flag(&["monitor", "--incident"], "--incident");
 }
 
@@ -605,6 +606,18 @@ fn serve_flag_validation() {
 
     // The serving commands reject flags they never read.
     assert_unknown_flag(&["serve", "--shard", "4"], "--shard");
+    for (flag, value) in [
+        ("--sketch-depth", "16"),
+        ("--sketch-admit", "0.6"),
+        ("--sketch-demote", "0.25"),
+        ("--sketch-admit-rounds", "3"),
+        ("--sketch-demote-rounds", "6"),
+        ("--sketch-cooldown", "120"),
+        ("--sketch-rescore-every", "8"),
+        ("--sketch-max-materialized", "19"),
+    ] {
+        assert_unknown_flag(&["serve", flag, value], flag);
+    }
     assert_unknown_flag(&["coordinator", "--worker", "a:1"], "--worker");
     assert_unknown_flag(&["shard-worker", "--shards", "2"], "--shards");
 }

@@ -55,14 +55,6 @@ pub struct EngineConfig {
     /// drift layer entirely — the per-step cost is then one branch.
     #[serde(default)]
     pub drift: Option<crate::DriftConfig>,
-    /// Sketch-gated pair selection: when set, a streaming
-    /// random-projection sketch scores every candidate pair per snapshot
-    /// and only pairs whose estimated correlation clears an admission
-    /// threshold get a materialized grid model (see
-    /// [`crate::SketchConfig`]). `None` disables the sketch layer
-    /// entirely — the per-step cost is then one branch.
-    #[serde(default)]
-    pub sketch: Option<crate::SketchConfig>,
 }
 
 /// Pair-selection criteria mirroring Section 6 of the paper: "1) the

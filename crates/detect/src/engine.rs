@@ -9,7 +9,6 @@ use crate::alarm::{AlarmEvent, AlarmTracker};
 use crate::config::EngineConfig;
 use crate::drift::{DriftRuntime, RebuildEvent};
 use crate::scores::ScoreBoard;
-use crate::sketch::{PairLifecycleEvent, SketchRuntime};
 use crate::snapshot::Snapshot;
 
 /// Error returned when engine training produces no usable models.
@@ -67,11 +66,6 @@ pub struct DetectionEngine {
     /// Drift bookkeeping; present exactly when `config.drift` is set.
     /// Runtime-only — not persisted, rebuilt empty on restore.
     drift: Option<DriftRuntime>,
-    /// Sketch-gated pair selection; present exactly when
-    /// `config.sketch` is set. The sketch state (lanes, streaks) is
-    /// runtime-only; the candidate pair list is persisted (see
-    /// [`crate::EngineSnapshot`]).
-    sketch: Option<SketchRuntime>,
 }
 
 impl DetectionEngine {
@@ -105,12 +99,6 @@ impl DetectionEngine {
             return Err(NoModelsTrained { offered });
         }
         crate::invariants::check_models(models.iter());
-        let mut sketch = config.sketch.map(SketchRuntime::new);
-        if let Some(s) = sketch.as_mut() {
-            for &pair in models.keys() {
-                s.track_pair(pair, true);
-            }
-        }
         Ok(DetectionEngine {
             config,
             models,
@@ -122,7 +110,6 @@ impl DetectionEngine {
             last_snapshot_at: None,
             recorder: None,
             drift: config.drift.map(DriftRuntime::new),
-            sketch,
         })
     }
 
@@ -222,16 +209,6 @@ impl DetectionEngine {
                 }
             }
         }
-        if let Some(sketch) = self.sketch.as_mut() {
-            let fired = sketch.observe(&mut self.models, self.config.model, snapshot);
-            if fired > 0 {
-                if let Some(recorder) = &self.recorder {
-                    for event in sketch.recent_events(fired) {
-                        recorder.record(event.kind.name(), event);
-                    }
-                }
-            }
-        }
         for (pair, fitness) in results {
             if let Some(f) = fitness {
                 board.record(pair, f);
@@ -262,91 +239,6 @@ impl DetectionEngine {
     #[doc(hidden)]
     pub fn drift_gate_probe(&mut self) -> bool {
         self.drift.is_some()
-    }
-
-    /// Benchmark probe executing exactly the per-step sketch gate (the
-    /// only code the disabled sketch path adds to `step_scores`).
-    #[doc(hidden)]
-    pub fn sketch_gate_probe(&mut self) -> bool {
-        self.sketch.is_some()
-    }
-
-    /// Registers candidate pairs for sketch tracking: they are scored by
-    /// the sketch every rescore round and only get a materialized grid
-    /// model once promoted. A no-op when [`EngineConfig::sketch`] is
-    /// unset, and for pairs that already own a model.
-    pub fn add_candidates<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = MeasurementPair>,
-    {
-        if let Some(sketch) = self.sketch.as_mut() {
-            for pair in pairs {
-                if !self.models.contains_key(&pair) {
-                    sketch.track_pair(pair, false);
-                }
-            }
-        }
-    }
-
-    /// The sketch-tracked pairs that currently have no materialized
-    /// model, in canonical order (empty when the sketch layer is
-    /// disabled).
-    pub fn candidates(&self) -> Vec<MeasurementPair> {
-        self.sketch
-            .as_ref()
-            .map(SketchRuntime::candidates)
-            .unwrap_or_default()
-    }
-
-    /// Total pairs the sketch layer tracks — candidates plus
-    /// materialized. Falls back to the model count when the sketch layer
-    /// is disabled.
-    pub fn tracked_pair_count(&self) -> usize {
-        self.sketch
-            .as_ref()
-            .map(SketchRuntime::tracked_pairs)
-            .unwrap_or_else(|| self.models.len())
-    }
-
-    /// The `k` best-scoring sketch-only candidate pairs, best first
-    /// (empty when the sketch layer is disabled).
-    pub fn top_sketch_candidates(&self, k: usize) -> Vec<(MeasurementPair, f64)> {
-        self.sketch
-            .as_ref()
-            .map(|s| s.top_candidates(k))
-            .unwrap_or_default()
-    }
-
-    /// Approximate heap bytes held by the per-measurement sketches
-    /// (0 when the sketch layer is disabled).
-    pub fn sketch_bytes(&self) -> usize {
-        self.sketch.as_ref().map(SketchRuntime::bytes).unwrap_or(0)
-    }
-
-    /// Drains the sketch layer's promotion/demotion events accumulated
-    /// since the last drain (empty when [`EngineConfig::sketch`] is
-    /// unset).
-    pub fn take_lifecycle_events(&mut self) -> Vec<PairLifecycleEvent> {
-        self.sketch
-            .as_mut()
-            .map(SketchRuntime::take_events)
-            .unwrap_or_default()
-    }
-
-    /// Total pair promotions the sketch layer has materialized.
-    pub fn promotion_count(&self) -> u64 {
-        self.sketch
-            .as_ref()
-            .map(SketchRuntime::total_promotions)
-            .unwrap_or(0)
-    }
-
-    /// Total pair demotions the sketch layer has retired.
-    pub fn demotion_count(&self) -> u64 {
-        self.sketch
-            .as_ref()
-            .map(SketchRuntime::total_demotions)
-            .unwrap_or(0)
     }
 
     /// The value ranges of the cell a pair's trajectory currently
@@ -381,12 +273,6 @@ impl DetectionEngine {
     ) -> Self {
         crate::invariants::check_models(models.iter());
         let trained = models.len();
-        let mut sketch = config.sketch.map(SketchRuntime::new);
-        if let Some(s) = sketch.as_mut() {
-            for &pair in models.keys() {
-                s.track_pair(pair, true);
-            }
-        }
         DetectionEngine {
             config,
             models,
@@ -398,7 +284,6 @@ impl DetectionEngine {
             last_snapshot_at: None,
             recorder: None,
             drift: config.drift.map(DriftRuntime::new),
-            sketch,
         }
     }
 }

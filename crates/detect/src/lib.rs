@@ -77,7 +77,6 @@ pub mod invariants;
 mod localize;
 mod persist;
 mod scores;
-mod sketch;
 mod snapshot;
 
 pub use alarm::{AlarmEvent, AlarmLevel, AlarmTracker};
@@ -88,5 +87,4 @@ pub use incident::{IncidentReport, PairFinding};
 pub use localize::{Localizer, SuspectMachine, SuspectMeasurement};
 pub use persist::EngineSnapshot;
 pub use scores::{MergeError, ScoreBoard};
-pub use sketch::{LifecycleKind, PairLifecycleEvent, SketchConfig};
 pub use snapshot::Snapshot;

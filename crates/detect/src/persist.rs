@@ -19,10 +19,7 @@ use crate::engine::DetectionEngine;
 /// cooldowns — see [`crate::DriftConfig`]) is deliberately *not* part of
 /// the snapshot: it is reconstructed empty from the persisted config, so
 /// a restored engine re-earns its drift evidence before rebuilding any
-/// model. The sketch layer follows the same policy: lanes, moments, and
-/// hysteresis streaks are rebuilt empty, but the candidate *pair list*
-/// is persisted (in [`EngineSnapshot::candidates`]) so a restored engine
-/// keeps watching the same pairs it was gating.
+/// model.
 ///
 /// # Example
 ///
@@ -56,12 +53,6 @@ pub struct EngineSnapshot {
     pub models: Vec<(MeasurementPair, TransitionModel)>,
     /// The alarm tracker's debounce streaks.
     pub tracker: AlarmTracker,
-    /// Sketch-tracked candidate pairs without a materialized model, in
-    /// canonical order. Empty when the sketch layer is disabled;
-    /// snapshots written before the sketch stage existed deserialize to
-    /// empty.
-    #[serde(default)]
-    pub candidates: Vec<MeasurementPair>,
 }
 
 /// Counts completed directory syncs so tests can assert the durability
@@ -130,7 +121,6 @@ impl DetectionEngine {
                 .filter_map(|p| self.model(p).map(|m| (p, m.clone())))
                 .collect(),
             tracker: self.tracker_state().clone(),
-            candidates: self.candidates(),
         }
     }
 
@@ -140,13 +130,11 @@ impl DetectionEngine {
     /// reports all models as trained and no skips (the skip list is not
     /// part of the persisted state).
     pub fn from_snapshot(snapshot: EngineSnapshot) -> Self {
-        let mut engine = DetectionEngine::from_parts(
+        DetectionEngine::from_parts(
             snapshot.config,
             snapshot.models.into_iter().collect(),
             snapshot.tracker,
-        );
-        engine.add_candidates(snapshot.candidates);
-        engine
+        )
     }
 }
 

@@ -59,17 +59,6 @@ pub struct CheckpointManifest {
     /// and under which epoch (empty for single-process checkpoints).
     #[serde(default)]
     pub remote: Vec<RemoteShard>,
-    /// Sketch-tracked candidate pairs (no materialized model) persisted
-    /// across all shard files at the cut. 0 for sketchless engines and
-    /// for pre-sketch manifests (field default).
-    #[serde(default)]
-    pub candidate_pairs: usize,
-    /// Lifetime sketch promotions at the cut (0 pre-sketch).
-    #[serde(default)]
-    pub sketch_promotions: u64,
-    /// Lifetime sketch demotions at the cut (0 pre-sketch).
-    #[serde(default)]
-    pub sketch_demotions: u64,
 }
 
 /// One remote shard's ownership record inside a coordinator manifest.
@@ -247,7 +236,6 @@ impl Checkpointer {
             )));
         }
         let mut models = BTreeMap::new();
-        let mut candidates = std::collections::BTreeSet::new();
         for (shard, name) in manifest.shard_files.iter().enumerate() {
             let path = self.dir.join(name);
             let json = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
@@ -260,16 +248,11 @@ impl Checkpointer {
                     )));
                 }
             }
-            candidates.extend(snapshot.candidates);
         }
-        // A pair promoted after its shard file was written could appear
-        // both as a model and a stale candidate; the model wins.
-        candidates.retain(|pair| !models.contains_key(pair));
         let combined = EngineSnapshot {
             config: manifest.config,
             models: models.into_iter().collect(),
             tracker: manifest.tracker.clone(),
-            candidates: candidates.into_iter().collect(),
         };
         Ok((combined, manifest))
     }
@@ -319,13 +302,11 @@ mod tests {
             config: full.config,
             models: full.models[..2].to_vec(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let right = EngineSnapshot {
             config: full.config,
             models: full.models[2..].to_vec(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let files = vec![
             ckpt.write_shard(0, &left).unwrap(),
@@ -341,9 +322,6 @@ mod tests {
             sources: BTreeMap::from([("agent-1".to_string(), 7)]),
             fabric_epoch: 0,
             remote: Vec::new(),
-            candidate_pairs: 0,
-            sketch_promotions: 0,
-            sketch_demotions: 0,
         })
         .unwrap();
 
@@ -403,9 +381,6 @@ mod tests {
                     source: "127.0.0.1:7002".into(),
                 },
             ],
-            candidate_pairs: 4,
-            sketch_promotions: 2,
-            sketch_demotions: 1,
         };
         let json = serde_json::to_string(&manifest).unwrap();
         let back: CheckpointManifest = serde_json::from_str(&json).unwrap();
@@ -420,17 +395,11 @@ mod tests {
         .unwrap();
         let legacy = stripped
             .replace(",\"fabric_epoch\":0", "")
-            .replace(",\"remote\":[]", "")
-            .replace(",\"candidate_pairs\":4", "")
-            .replace(",\"sketch_promotions\":2", "")
-            .replace(",\"sketch_demotions\":1", "");
+            .replace(",\"remote\":[]", "");
         assert_ne!(legacy, stripped);
         let back: CheckpointManifest = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.fabric_epoch, 0);
         assert!(back.remote.is_empty());
-        assert_eq!(back.candidate_pairs, 0);
-        assert_eq!(back.sketch_promotions, 0);
-        assert_eq!(back.sketch_demotions, 0);
     }
 
     #[test]
@@ -456,9 +425,6 @@ mod tests {
             sources: BTreeMap::new(),
             fabric_epoch: 0,
             remote: Vec::new(),
-            candidate_pairs: 0,
-            sketch_promotions: 0,
-            sketch_demotions: 0,
         })
         .unwrap();
         // Manifest names a shard file that was never written.
@@ -477,7 +443,6 @@ mod tests {
             config: full.config,
             models: full.models[..1].to_vec(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let files = vec![
             ckpt.write_shard(0, &half).unwrap(),
@@ -493,9 +458,6 @@ mod tests {
             sources: BTreeMap::new(),
             fabric_epoch: 0,
             remote: Vec::new(),
-            candidate_pairs: 0,
-            sketch_promotions: 0,
-            sketch_demotions: 0,
         })
         .unwrap();
         let err = ckpt.recover().unwrap_err();

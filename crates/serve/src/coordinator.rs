@@ -351,7 +351,6 @@ impl Coordinator {
         let config = snapshot.config;
         let tracker = snapshot.tracker.clone();
         let partitions = router.partition(snapshot.models);
-        let candidate_partitions = router.partition_pairs(snapshot.candidates);
 
         let slots: Slots = Arc::new(
             (0..shards)
@@ -367,14 +366,12 @@ impl Coordinator {
         let state_cache = Arc::new(LeafMutex::new(
             partitions
                 .into_iter()
-                .zip(candidate_partitions)
-                .map(|(part, candidates)| StateEntry {
+                .map(|part| StateEntry {
                     cut: fabric.start_seq,
                     state: EngineSnapshot {
                         config,
                         models: part,
                         tracker: AlarmTracker::new(),
-                        candidates,
                     },
                 })
                 .collect::<Vec<_>>(),
@@ -966,11 +963,10 @@ fn merge_loop<T: FnMut(Tally)>(
                 if epoch == current_epoch {
                     if let Some((checkpointer, cut)) = merger.cut_awaiting(shard, id) {
                         let result = checkpointer.write_shard(shard, &state);
-                        let candidates = state.candidates.len();
                         if result.is_ok() {
                             state_cache.lock()[shard] = StateEntry { cut, state: *state };
                         }
-                        merger.shard_file(shard, id, result.map_err(Into::into), candidates);
+                        merger.shard_file(shard, id, result.map_err(Into::into));
                     }
                 }
             }

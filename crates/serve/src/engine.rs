@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use gridwatch_sync::channel::{self, Receiver, Sender, TrySendError};
 
 use gridwatch_detect::{
-    AlarmTracker, DetectionEngine, EngineSnapshot, LifecycleKind, ScoreBoard, Snapshot, StepReport,
+    AlarmTracker, DetectionEngine, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
 };
 use gridwatch_obs::{BurnSample, FlightRecorder, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{may_block, LeafMutex};
@@ -115,10 +115,6 @@ enum ShardReply {
         shard: usize,
         id: u64,
         result: Result<String, CheckpointError>,
-        /// Sketch candidates persisted inside the shard's file (0 on
-        /// error or with the sketch layer off); summed into
-        /// [`CheckpointManifest::candidate_pairs`].
-        candidates: usize,
     },
 }
 
@@ -133,20 +129,6 @@ pub(crate) struct ScoredStep {
     /// Pair-model rebuilds the shard's drift layer fired while
     /// scoring this snapshot (0 when the drift layer is off).
     pub(crate) rebuilds: u64,
-    /// Sketch-layer promotions that materialized a model while
-    /// scoring this snapshot (0 when the sketch layer is off).
-    pub(crate) promotions: u64,
-    /// Sketch-layer demotions that retired a model.
-    pub(crate) demotions: u64,
-    /// Pairs under sketch tracking after this step (candidates +
-    /// materialized); equals the model count when the sketch layer is
-    /// off. This and the two gauges below ride every reply so the stats
-    /// snapshot stays current without extra round-trips.
-    pub(crate) tracked_pairs: usize,
-    /// Pair models currently materialized.
-    pub(crate) materialized: usize,
-    /// Approximate heap bytes held by the shard's measurement sketches.
-    pub(crate) sketch_bytes: usize,
 }
 
 /// A running sharded detection engine. Built with
@@ -230,16 +212,10 @@ impl ShardedEngine {
         let engine_config = snapshot.config;
         let router = ShardRouter::new(config.shards);
         let partitions = router.partition(snapshot.models);
-        // Sketch candidates ride the same routing as models, so a pair
-        // promoted on its shard sits exactly where its model would have
-        // been placed at startup.
-        let candidate_partitions = router.partition_pairs(snapshot.candidates);
 
         let mut live = ServeStats::new(config.shards);
         for (k, part) in partitions.iter().enumerate() {
             live.shards[k].pairs = part.len();
-            live.shards[k].materialized_models = part.len();
-            live.shards[k].tracked_pairs = part.len() + candidate_partitions[k].len();
         }
         let stats = Arc::new(LeafMutex::new(live));
 
@@ -251,8 +227,7 @@ impl ShardedEngine {
         let mut shard_senders = Vec::with_capacity(config.shards);
         let mut shard_stealers = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
-        for (k, (part, candidates)) in partitions.into_iter().zip(candidate_partitions).enumerate()
-        {
+        for (k, part) in partitions.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<ShardMsg>(config.queue_capacity);
             shard_stealers.push(rx.clone());
             shard_senders.push(tx);
@@ -261,7 +236,6 @@ impl ShardedEngine {
                 config: engine_config,
                 models: part,
                 tracker: AlarmTracker::new(),
-                candidates,
             };
             let engine = shard_engine(state, obs.recorder.clone());
             #[expect(clippy::expect_used, reason = "the engine needs its threads")]
@@ -803,8 +777,8 @@ pub(crate) fn shard_engine(state: EngineSnapshot, recorder: FlightRecorder) -> D
         ..state
     });
     // Shard engines share the flight recorder so drift-layer rebuild
-    // and sketch-layer lifecycle events land in the same ring as alarms
-    // and checkpoints (and flow to the history store from there).
+    // events land in the same ring as alarms and checkpoints (and flow
+    // to the history store from there).
     engine.attach_recorder(recorder);
     engine
 }
@@ -818,29 +792,15 @@ pub(crate) fn score_step(engine: &mut DetectionEngine, snap: &Snapshot) -> Score
     let start = Instant::now();
     let board = engine.step_scores(snap);
     let elapsed_ns = start.elapsed().as_nanos() as u64;
-    // Drain drift-layer rebuilds and sketch-layer lifecycle events
-    // fired by this step, every step, so the engine's pending lists
-    // stay bounded; the events themselves already reached the flight
-    // recorder inside step_scores, so only the counts travel on.
+    // Drain drift-layer rebuilds fired by this step, every step, so
+    // the engine's pending list stays bounded; the events themselves
+    // already reached the flight recorder inside step_scores, so only
+    // the count travels on.
     let rebuilds = engine.take_rebuild_events().len() as u64;
-    let lifecycle = engine.take_lifecycle_events();
-    let promotions = lifecycle
-        .iter()
-        .filter(|e| e.kind == LifecycleKind::Promote && e.succeeded)
-        .count() as u64;
-    let demotions = lifecycle
-        .iter()
-        .filter(|e| e.kind == LifecycleKind::Demote)
-        .count() as u64;
     ScoredStep {
         board,
         elapsed_ns,
         rebuilds,
-        promotions,
-        demotions,
-        tracked_pairs: engine.tracked_pair_count(),
-        materialized: engine.model_count(),
-        sketch_bytes: engine.sketch_bytes(),
     }
 }
 
@@ -859,15 +819,11 @@ fn worker_loop(
                 seq,
                 step: score_step(&mut engine, &snap),
             },
-            ShardMsg::Checkpoint { id, dir } => {
-                let snapshot = engine.snapshot();
-                ShardReply::CheckpointFile {
-                    shard,
-                    id,
-                    result: Checkpointer::new(dir).write_shard(shard, &snapshot),
-                    candidates: snapshot.candidates.len(),
-                }
-            }
+            ShardMsg::Checkpoint { id, dir } => ShardReply::CheckpointFile {
+                shard,
+                id,
+                result: Checkpointer::new(dir).write_shard(shard, &engine.snapshot()),
+            },
         };
         if reply.send(answer).is_err() {
             break;
@@ -876,9 +832,9 @@ fn worker_loop(
 }
 
 /// The aggregator: the in-process adapter over the [`StepMerger`]. It
-/// owns the per-shard roll-ups (latency histograms, lifecycle counters,
-/// sketch gauges) and hands everything else — merging, in-order
-/// finalization, alarms, reports, manifests — to the merger.
+/// owns the per-shard roll-ups (latency histograms, rebuild counts) and
+/// hands everything else — merging, in-order finalization, alarms,
+/// reports, manifests — to the merger.
 fn aggregator_loop<T: FnMut(Tally)>(
     mut merger: StepMerger<CheckpointError, T>,
     reply_rx: Receiver<ShardReply>,
@@ -891,16 +847,8 @@ fn aggregator_loop<T: FnMut(Tally)>(
                 {
                     let mut live = stats.lock();
                     live.rebuilds += step.rebuilds;
-                    live.promotions += step.promotions;
-                    live.demotions += step.demotions;
-                    let live = &mut live.shards[shard];
-                    live.observe_latency(step.elapsed_ns);
-                    live.tracked_pairs = step.tracked_pairs;
-                    live.materialized_models = step.materialized;
-                    live.sketch_bytes = step.sketch_bytes;
+                    live.shards[shard].observe_latency(step.elapsed_ns);
                 }
-                merger.sketch_promotions += step.promotions;
-                merger.sketch_demotions += step.demotions;
                 // The worker has no exemplar handle; attribute its
                 // measured wall time here, anchored to the receive
                 // instant (start ≈ now − elapsed on this timeline).
@@ -914,12 +862,9 @@ fn aggregator_loop<T: FnMut(Tally)>(
             }
             ShardReply::Dropped { shard, seq } => merger.tombstone(shard, seq),
             ShardReply::CheckpointBegin(cut) => merger.begin_cut(cut),
-            ShardReply::CheckpointFile {
-                shard,
-                id,
-                result,
-                candidates,
-            } => merger.shard_file(shard, id, result, candidates),
+            ShardReply::CheckpointFile { shard, id, result } => {
+                merger.shard_file(shard, id, result)
+            }
         }
         merger.advance();
     }

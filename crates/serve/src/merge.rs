@@ -76,9 +76,6 @@ struct CutOp<E> {
     cut: Cut<E>,
     /// One slot per shard: the file name it wrote, or why it could not.
     files: Vec<Option<Result<String, E>>>,
-    /// Sketch candidates persisted across the shard files so far,
-    /// summed into [`CheckpointManifest::candidate_pairs`].
-    candidates: usize,
 }
 
 /// One in-flight sequence number: the partial merge so far and which
@@ -109,13 +106,6 @@ pub(crate) struct StepMerger<E, T> {
     /// The worker label on this merger's Merge/Report exemplar slices.
     label: &'static str,
     tally: T,
-    /// Lifetime sketch promotions, recorded in every manifest. The
-    /// in-process adapter adds each shard reply's count; fabric
-    /// lifecycle counters live on the remote workers (candidate lists
-    /// still persist through the shard states), so there it stays 0.
-    pub(crate) sketch_promotions: u64,
-    /// Lifetime sketch demotions; see `sketch_promotions`.
-    pub(crate) sketch_demotions: u64,
 }
 
 impl<E, T> StepMerger<E, T>
@@ -148,8 +138,6 @@ where
             obs,
             label,
             tally,
-            sketch_promotions: 0,
-            sketch_demotions: 0,
         }
     }
 
@@ -308,7 +296,6 @@ where
         self.cut = Some(CutOp {
             cut,
             files: (0..self.shards).map(|_| None).collect(),
-            candidates: 0,
         });
     }
 
@@ -320,22 +307,15 @@ where
             .then(|| (Checkpointer::new(&op.cut.dir), op.cut.cut_seq))
     }
 
-    /// One shard's checkpoint file for cut `id` landed (or failed),
-    /// persisting `candidates` sketch candidates. Ignored unless that
-    /// cut is in flight and still waits for this shard.
-    pub(crate) fn shard_file(
-        &mut self,
-        shard: usize,
-        id: u64,
-        result: Result<String, E>,
-        candidates: usize,
-    ) {
+    /// One shard's checkpoint file for cut `id` landed (or failed).
+    /// Ignored unless that cut is in flight and still waits for this
+    /// shard.
+    pub(crate) fn shard_file(&mut self, shard: usize, id: u64, result: Result<String, E>) {
         let Some(op) = self.cut.as_mut().filter(|op| op.cut.id == id) else {
             return;
         };
         if let Some(slot @ None) = op.files.get_mut(shard) {
             *slot = Some(result);
-            op.candidates += candidates;
         }
     }
 
@@ -357,12 +337,7 @@ where
         let next_emit = self.next_emit;
         let ready =
             |op: &mut CutOp<E>| next_emit >= op.cut.cut_seq && op.files.iter().all(Option::is_some);
-        let Some(CutOp {
-            cut,
-            files,
-            candidates,
-        }) = self.cut.take_if(ready)
-        else {
+        let Some(CutOp { cut, files }) = self.cut.take_if(ready) else {
             return;
         };
         let outcome = files
@@ -380,9 +355,6 @@ where
                     sources: cut.sources,
                     fabric_epoch: cut.fabric_epoch,
                     remote: cut.remote,
-                    candidate_pairs: candidates,
-                    sketch_promotions: self.sketch_promotions,
-                    sketch_demotions: self.sketch_demotions,
                 };
                 Checkpointer::new(&cut.dir).write_manifest(&manifest)?;
                 Ok(manifest)
@@ -656,21 +628,15 @@ mod tests {
     fn a_cut_acks_only_after_every_pre_cut_step_has_finalized() {
         let dir = scratch_dir("order");
         let (mut merger, reports, tallies) = merger(2, 0);
-        merger.sketch_promotions = 3;
         let (cut, acked) = cut(1, 2, &dir);
         merger.begin_cut(cut);
         // Both shard files land before any board does.
-        merger.shard_file(0, 1, Ok("shard-0.json".to_string()), 4);
-        merger.shard_file(1, 1, Ok("shard-1.json".to_string()), 1);
+        merger.shard_file(0, 1, Ok("shard-0.json".to_string()));
+        merger.shard_file(1, 1, Ok("shard-1.json".to_string()));
         // A file for some other cut, and a second file from shard 0,
         // change nothing.
-        merger.shard_file(
-            1,
-            9,
-            Err(CheckpointError::Corrupt("other cut".to_string())),
-            50,
-        );
-        merger.shard_file(0, 1, Err(CheckpointError::Corrupt("again".to_string())), 50);
+        merger.shard_file(1, 9, Err(CheckpointError::Corrupt("other cut".to_string())));
+        merger.shard_file(0, 1, Err(CheckpointError::Corrupt("again".to_string())));
         feed(&mut merger, &[(0, 0), (1, 0), (0, 1), (0, 2), (1, 2)]);
         assert!(acked.try_recv().is_err(), "seq 1 has not finalized");
         assert!(!dir.join("manifest.json").exists());
@@ -685,11 +651,6 @@ mod tests {
         assert_eq!(manifest.tracker, tracker);
         assert_eq!(manifest.cut_seq, 2);
         assert_eq!(manifest.shard_files, ["shard-0.json", "shard-1.json"]);
-        assert_eq!(manifest.candidate_pairs, 5);
-        assert_eq!(
-            (manifest.sketch_promotions, manifest.sketch_demotions),
-            (3, 0)
-        );
         assert_eq!(Checkpointer::new(&dir).read_manifest().unwrap(), manifest);
         assert_eq!(tallies.borrow().last(), Some(&Tally::Checkpoint));
         let _ = std::fs::remove_dir_all(&dir);
@@ -703,16 +664,11 @@ mod tests {
         merger.begin_cut(cut);
         assert!(merger.cut_awaiting(1, 1).is_some());
         assert!(merger.cut_awaiting(1, 2).is_none(), "not that cut");
-        merger.shard_file(
-            1,
-            1,
-            Err(CheckpointError::Corrupt("disk full".to_string())),
-            0,
-        );
+        merger.shard_file(1, 1, Err(CheckpointError::Corrupt("disk full".to_string())));
         assert!(merger.cut_awaiting(1, 1).is_none(), "already reported");
         merger.advance();
         assert!(acked.try_recv().is_err(), "shard 0 has not reported");
-        merger.shard_file(0, 1, Ok("shard-0.json".to_string()), 0);
+        merger.shard_file(0, 1, Ok("shard-0.json".to_string()));
         merger.advance();
         let err = acked
             .try_recv()
@@ -739,7 +695,7 @@ mod tests {
         assert!(err.to_string().contains("superseded"), "{err}");
         // Shard 0 reports, then shard 1 is lost: the cut can never
         // complete, and only a shard still awaited can fail it.
-        merger.shard_file(0, 2, Ok("shard-0.json".to_string()), 0);
+        merger.shard_file(0, 2, Ok("shard-0.json".to_string()));
         merger.fail_cut_awaiting(0, CheckpointError::Corrupt("shard 0 lost".to_string()));
         assert!(second_acked.try_recv().is_err());
         merger.fail_cut_awaiting(1, CheckpointError::Corrupt("shard 1 lost".to_string()));

@@ -142,11 +142,6 @@ pub struct BoardFrame {
 
 /// Worker → coordinator messages; a `Board` is never JSON (see
 /// [`encode_response`]).
-///
-/// `State` dwarfs the other variants, but it cannot be boxed: the
-/// vendored serde derives have no `Box<T>` impls. One `State` exists
-/// per shard per checkpoint, so the oversized variant never amplifies.
-#[expect(clippy::large_enum_variant, reason = "the vendored serde has no Box")]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FabricResponse {
     /// Handshake acknowledgement.
@@ -424,11 +419,6 @@ fn measurement(r: &mut Reader<'_>) -> Result<MeasurementId, Box<dyn Error>> {
 }
 
 /// What a downstream (coordinator → worker) payload turned out to be.
-//
-// Same situation as `FabricControl` above: `Control(Hello)` dwarfs the
-// snapshot variant, but controls arrive once per session, not per
-// snapshot, so boxing buys nothing on the hot path.
-#[expect(clippy::large_enum_variant, reason = "the vendored serde has no Box")]
 #[derive(Debug)]
 pub enum Downstream {
     /// A snapshot frame in the standard JSON wire encoding.
@@ -752,8 +742,8 @@ fn session_loop(
                 obs.exemplar.enable(ExemplarConfig::default());
             }
             // The same engine the in-process shards score with: serial,
-            // and sharing this worker's flight recorder so rebuild and
-            // lifecycle events reach it.
+            // and sharing this worker's flight recorder so rebuild
+            // events reach it.
             let engine = shard_engine(state, obs.recorder.clone());
             let ack = encode_response(&FabricResponse::HelloAck {
                 shard,
@@ -1149,7 +1139,6 @@ gridwatch_stage_ns_count{stage=\"decode\"} 1
             config: EngineConfig::default(),
             models: Vec::new(),
             tracker: AlarmTracker::new(),
-            candidates: Vec::new(),
         };
         let old_hello = format!(
             "{{\"control\":{{\"Hello\":{{\"shard\":1,\"shards\":2,\"epoch\":3,\"state\":{}}}}}}}",

@@ -50,18 +50,6 @@ impl ShardRouter {
         }
         shards
     }
-
-    /// Splits a bare pair list (sketch candidates without models) into
-    /// per-shard lists with the same routing as [`ShardRouter::partition`],
-    /// so a pair promoted on its shard lands exactly where its model
-    /// would have been routed at startup.
-    pub fn partition_pairs(&self, pairs: Vec<MeasurementPair>) -> Vec<Vec<MeasurementPair>> {
-        let mut shards: Vec<Vec<MeasurementPair>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for pair in pairs {
-            shards[self.route(pair)].push(pair);
-        }
-        shards
-    }
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -122,19 +110,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_shards_rejected() {
         ShardRouter::new(0);
-    }
-
-    #[test]
-    fn candidate_partition_agrees_with_model_routing() {
-        let router = ShardRouter::new(3);
-        let pairs: Vec<MeasurementPair> = (0..12).map(|m| pair(m, 0, m + 1, 1)).collect();
-        let parts = router.partition_pairs(pairs.clone());
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), pairs.len());
-        for (shard, part) in parts.iter().enumerate() {
-            for &p in part {
-                assert_eq!(router.route(p), shard);
-            }
-        }
     }
 }

@@ -43,19 +43,6 @@ pub struct ShardStats {
     /// actually engaged).
     #[serde(default)]
     pub backpressure_wait_ns: LogHistogram,
-    /// Pairs under sketch tracking on this shard (candidates +
-    /// materialized models); equals `pairs` when the sketch layer is
-    /// off. Absent in pre-sketch dumps.
-    #[serde(default)]
-    pub tracked_pairs: usize,
-    /// Pair models currently materialized on this shard (moves with
-    /// promotions/demotions, unlike the startup `pairs`).
-    #[serde(default)]
-    pub materialized_models: usize,
-    /// Approximate heap bytes held by this shard's measurement
-    /// sketches (0 with the sketch layer off).
-    #[serde(default)]
-    pub sketch_bytes: usize,
 }
 
 /// Wire-path counters for one network connection.
@@ -178,12 +165,6 @@ pub struct ServeStats {
     /// Pair-model rebuilds fired by the shards' drift layers.
     #[serde(default)]
     pub rebuilds: u64,
-    /// Sketch-layer promotions that materialized a model.
-    #[serde(default)]
-    pub promotions: u64,
-    /// Sketch-layer demotions that retired a model.
-    #[serde(default)]
-    pub demotions: u64,
     /// Flight-recorder events overwritten before any drain could ship
     /// them (ring overflow). Absent in pre-trace dumps.
     #[serde(default)]
@@ -246,18 +227,6 @@ const SERVE_METRICS: &[Metric<ServeStats>] = &[
         |s| s.rebuilds,
     ),
     (
-        "gridwatch_promotions_total",
-        "counter",
-        "Sketch-layer promotions that materialized a pair model.",
-        |s| s.promotions,
-    ),
-    (
-        "gridwatch_demotions_total",
-        "counter",
-        "Sketch-layer demotions that retired a pair model.",
-        |s| s.demotions,
-    ),
-    (
         "gridwatch_flight_dropped_total",
         "counter",
         "Flight-recorder events overwritten before they could be drained.",
@@ -273,24 +242,6 @@ const SHARD_METRICS: &[Metric<ShardStats>] = &[
         "gauge",
         "Pair models owned by each shard.",
         |s| s.pairs as u64,
-    ),
-    (
-        "gridwatch_shard_tracked_pairs",
-        "gauge",
-        "Pairs under sketch tracking on each shard (candidates + models).",
-        |s| s.tracked_pairs as u64,
-    ),
-    (
-        "gridwatch_shard_materialized_models",
-        "gauge",
-        "Pair models currently materialized on each shard.",
-        |s| s.materialized_models as u64,
-    ),
-    (
-        "gridwatch_shard_sketch_bytes",
-        "gauge",
-        "Approximate heap bytes held by each shard's measurement sketches.",
-        |s| s.sketch_bytes as u64,
     ),
     (
         "gridwatch_shard_processed_total",
@@ -556,12 +507,11 @@ mod tests {
             "\"queue_depth\":0,",
             "\"latency\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]},",
             "\"queue_depths\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]},",
-            "\"backpressure_wait_ns\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]},",
-            "\"tracked_pairs\":0,\"materialized_models\":0,\"sketch_bytes\":0}],",
+            "\"backpressure_wait_ns\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]}}],",
             "\"submitted\":0,\"rejected\":0,\"reports\":0,\"empty_steps\":0,",
             "\"alarms\":0,\"checkpoints\":0,\"sampled_out\":0,",
             "\"coverage_fraction\":1.0,\"rebuilds\":0,",
-            "\"promotions\":0,\"demotions\":0,\"flight_dropped\":0,",
+            "\"flight_dropped\":0,",
             "\"net\":{\"accepted\":0,\"closed\":0,",
             "\"frames\":0,\"decode_errors\":0,\"timeouts\":0,\"deadline_failures\":0,",
             "\"rejected\":0,",
@@ -584,8 +534,6 @@ mod tests {
         live.reports = 3;
         live.alarms = 1;
         live.shards[0].pairs = 2;
-        live.shards[0].tracked_pairs = 2;
-        live.shards[0].materialized_models = 2;
         for ns in [3, 900, 1000] {
             live.shards[0].observe_latency(ns);
         }
@@ -617,27 +565,12 @@ gridwatch_sampled_out_total 0
 # HELP gridwatch_rebuilds_total Pair-model rebuilds fired by the shards' drift layers.
 # TYPE gridwatch_rebuilds_total counter
 gridwatch_rebuilds_total 0
-# HELP gridwatch_promotions_total Sketch-layer promotions that materialized a pair model.
-# TYPE gridwatch_promotions_total counter
-gridwatch_promotions_total 0
-# HELP gridwatch_demotions_total Sketch-layer demotions that retired a pair model.
-# TYPE gridwatch_demotions_total counter
-gridwatch_demotions_total 0
 # HELP gridwatch_flight_dropped_total Flight-recorder events overwritten before they could be drained.
 # TYPE gridwatch_flight_dropped_total counter
 gridwatch_flight_dropped_total 0
 # HELP gridwatch_shard_pairs Pair models owned by each shard.
 # TYPE gridwatch_shard_pairs gauge
 gridwatch_shard_pairs{shard=\"0\"} 2
-# HELP gridwatch_shard_tracked_pairs Pairs under sketch tracking on each shard (candidates + models).
-# TYPE gridwatch_shard_tracked_pairs gauge
-gridwatch_shard_tracked_pairs{shard=\"0\"} 2
-# HELP gridwatch_shard_materialized_models Pair models currently materialized on each shard.
-# TYPE gridwatch_shard_materialized_models gauge
-gridwatch_shard_materialized_models{shard=\"0\"} 2
-# HELP gridwatch_shard_sketch_bytes Approximate heap bytes held by each shard's measurement sketches.
-# TYPE gridwatch_shard_sketch_bytes gauge
-gridwatch_shard_sketch_bytes{shard=\"0\"} 0
 # HELP gridwatch_shard_processed_total Snapshots scored by each shard.
 # TYPE gridwatch_shard_processed_total counter
 gridwatch_shard_processed_total{shard=\"0\"} 3

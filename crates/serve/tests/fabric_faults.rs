@@ -128,7 +128,6 @@ fn chaos_worker(listener: TcpListener, chaos: Chaos) -> JoinHandle<()> {
             config: state.config,
             models: state.models,
             tracker: AlarmTracker::new(),
-            candidates: state.candidates,
         });
         let ack = encode_response(&FabricResponse::HelloAck {
             shard,

@@ -39,8 +39,7 @@ pub struct EventRecord {
     /// Monotonic nanoseconds from the originating recorder (orders
     /// events within one instant).
     pub at_ns: u64,
-    /// Event class (`alarm`, `checkpoint`, `rebuild`, `promote`,
-    /// `demote`, `conn-open`, ...).
+    /// Event class (`alarm`, `checkpoint`, `rebuild`, `conn-open`, ...).
     pub kind: String,
     /// Free-form detail.
     pub detail: String,
