@@ -145,7 +145,7 @@ echo "==> every test of the crates that hold locks, leaf check armed (single-thr
 # on a 2-vCPU VM; the CLI and crash suites: 1-7 s). This covers the
 # observability goldens (exposition format, stats schema, burn, healthz),
 # network fault injection and the wire round trip, the multi-process
-# shard fabric, the history sink, sampling, trace exemplars, and serve's
+# shard fabric, the history sink, trace exemplars, and serve's
 # equivalence, recovery and sequencing suites.
 timeout 600 cargo test -q -p gridwatch-serve -p gridwatch-obs -- --test-threads=1
 

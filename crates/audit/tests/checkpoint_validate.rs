@@ -146,6 +146,18 @@ fn committed_compat_fixtures_still_load_and_resume() {
     let stats: ServeStats = load("stats.json");
     assert_eq!(stats.shards.len(), 2);
     assert_eq!(stats.net.connections.len(), 1);
+    // The dump predates the removal of the lossy queue policy and the
+    // overload sampler: their keys stay in the fixture and are ignored.
+    let stats_text = fs::read_to_string(compat("stats.json")).unwrap();
+    for key in [
+        "\"evicted\"",
+        "\"empty_steps\"",
+        "\"sampled_out\"",
+        "\"dropped\"",
+        "\"coverage_fraction\"",
+    ] {
+        assert!(stats_text.contains(key), "the fixture lost {key}");
+    }
     let store: StoreManifest = load("STORE.json");
     assert_eq!(store.retention_secs, Some(604_800));
     let event: FlightEvent = load("flight.jsonl");

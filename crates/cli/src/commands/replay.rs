@@ -305,7 +305,7 @@ pub(crate) fn replay<F: ReplayFront>(
                 front.checkpoint(dir, false)?;
                 // Flush stats alongside every checkpoint, not only at exit,
                 // so an operator watching a long replay (or recovering from
-                // a crash) sees eviction counts from the same cut.
+                // a crash) sees rejection counts from the same cut.
                 if let Some(path) = stats_path.as_deref() {
                     write_stats_atomic(path, &F::stats_json(&front.stats()))?;
                 }

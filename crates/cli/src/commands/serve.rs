@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use gridwatch_detect::{EngineSnapshot, Snapshot, StepReport};
 use gridwatch_serve::{
-    BackpressurePolicy, Checkpointer, HistorySink, NetConfig, NetServer, SamplingConfig,
-    ServeConfig, ServeStats, ShardedEngine, StatsProbe, WireProtocol,
+    BackpressurePolicy, Checkpointer, HistorySink, NetConfig, NetServer, ServeConfig, ServeStats,
+    ShardedEngine, StatsProbe, WireProtocol,
 };
 
 use crate::commands::replay::{pipeline_obs, replay, ReplayFront, ReportPump, REPLAY_FLAGS};
@@ -32,13 +32,7 @@ engine:
   --engine FILE             engine snapshot from `gridwatch train`
   --shards N                shard worker threads          (default 4)
   --queue-capacity N        per-shard queue capacity      (default 64)
-  --backpressure P          block | drop-oldest | reject  (default block)
-  --sample-watermark PCT    shed a stratified subsample of incoming
-                            snapshots while the deepest shard queue is
-                            at or above PCT% full (coverage is reported
-                            in the stats); sampling off when omitted
-  --sample-stride N         keep 1 in N snapshots while shedding
-                            (default 2)
+  --backpressure P          block | reject                (default block)
   --system-threshold X      alarm when Q_t < X            (engine default)
   --measurement-threshold X alarm when Q^a_t < X          (engine default)
   --consecutive N           debounce: N consecutive lows  (engine default)
@@ -96,7 +90,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &[
             &["trace", "listen", "engine", "max-snapshots"],
             &["shards", "queue-capacity", "backpressure"],
-            &["sample-watermark", "sample-stride"],
             &["protocol", "read-timeout", "max-frame-bytes"],
             &["ingest-capacity", "reorder-capacity"],
             ALARM_FLAGS,
@@ -122,18 +115,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// Engine tuning shared by both modes.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
-    let sampling = match flags.get::<u8>("sample-watermark")? {
-        Some(watermark_pct) => Some(SamplingConfig {
-            watermark_pct,
-            stride: flags.get_or("sample-stride", 2)?,
-        }),
-        None => None,
-    };
     let config = ServeConfig {
         shards: flags.get_or("shards", 4)?,
         queue_capacity: flags.get_or("queue-capacity", 64)?,
         backpressure: flags.get_or("backpressure", BackpressurePolicy::Block)?,
-        sampling,
     };
     if config.shards == 0 {
         return Err("--shards must be positive".to_string());
@@ -262,13 +247,12 @@ fn run_replay(flags: &Flags) -> Result<(), String> {
             }
             println!(
                 "served {ticks} snapshots over day {from_day}..{} across {} shards ({}): \
-                 {} reports, {} alarms, {} evicted, {} rejected",
+                 {} reports, {} alarms, {} rejected",
                 from_day + days,
                 stats.shards.len(),
                 serve_config.backpressure,
                 stats.reports,
                 pump.tally.alarms,
-                stats.total_evicted(),
                 stats.rejected,
             );
         },
@@ -357,13 +341,12 @@ fn run_listen(flags: &Flags, addr: &str) -> Result<(), String> {
     );
     println!(
         "served {} snapshots across {} shards ({}): {} reports, {} alarms, \
-         {} evicted, {} rejected (wall {:.2}s)",
+         {} rejected (wall {:.2}s)",
         stats.submitted,
         stats.shards.len(),
         serve_config.backpressure,
         stats.reports,
         pump.tally.alarms,
-        stats.total_evicted(),
         stats.rejected,
         elapsed.as_secs_f64(),
     );

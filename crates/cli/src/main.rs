@@ -39,7 +39,6 @@ commands:
              ingest live snapshot frames over TCP
              (--trace FILE | --listen ADDR) --engine FILE [--shards N]
              [--backpressure P] [--queue-capacity N] [--rate X]
-             [--sample-watermark PCT [--sample-stride N]]
              [--protocol auto|json|csv] [--read-timeout SECS]
              [--max-frame-bytes N] [--max-snapshots N] [--checkpoint DIR]
              [--checkpoint-every N] [--resume] [--stats FILE]

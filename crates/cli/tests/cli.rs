@@ -396,6 +396,27 @@ fn monitor_flag_validation() {
     assert_unknown_flag(&["train", "--row-format", "quantized"], "--row-format");
     assert_unknown_flag(&["train", "--sketch"], "--sketch");
     assert_unknown_flag(&["monitor", "--incident"], "--incident");
+    assert_unknown_flag(&["serve", "--sample-watermark", "75"], "--sample-watermark");
+    assert_unknown_flag(&["serve", "--sample-stride", "2"], "--sample-stride");
+
+    // Two backpressure policies remain; the removed one is a bad value.
+    let out = bin()
+        .args([
+            "serve",
+            "--trace",
+            "x.csv",
+            "--engine",
+            "x.json",
+            "--backpressure",
+            "drop-oldest",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains(
+        "bad value for --backpressure: unknown backpressure policy \"drop-oldest\" \
+         (expected block or reject)"
+    ));
 }
 
 /// Asserts `gridwatch <args>` fails naming the flag it does not know

@@ -9,7 +9,7 @@
 //! can assert against. The second is answered by [`BurnGauges`]:
 //! cumulative pipeline counters and stage histograms are sampled at
 //! each scrape, and deltas over rolling 60s/300s windows turn them
-//! into rate gauges (decode/sequence error ppm, sampling coverage ppm,
+//! into rate gauges (decode/sequence error ppm, admission coverage ppm,
 //! windowed per-stage p99) in the Prometheus exposition — the
 //! two-window burn-rate idiom from SLO alerting practice.
 //!
@@ -52,7 +52,7 @@ pub const BURN_METRICS: [(&str, &str, &str); 4] = [
     (
         "gridwatch_burn_coverage_ppm",
         "gauge",
-        "Sampling coverage per million submissions over the window.",
+        "Accepted snapshots per million offered over the window.",
     ),
     (
         "gridwatch_burn_stage_p99_ns",
@@ -90,8 +90,9 @@ pub struct HealthReport {
     /// Per-shard liveness and queue depth vs capacity.
     #[serde(default)]
     pub shards: Vec<ShardHealth>,
-    /// Sampling coverage in parts-per-million (1_000_000 = nothing
-    /// shed).
+    /// Admission coverage in parts-per-million: accepted snapshots per
+    /// million offered to the ingestion front (1_000_000 = nothing
+    /// refused).
     #[serde(default)]
     pub coverage_ppm: u64,
     /// Seconds since the last checkpoint; `None` when no checkpoint
@@ -155,8 +156,9 @@ pub struct BurnSample {
     pub sequence_errors: u64,
     /// Snapshots admitted into the pipeline, cumulative.
     pub submitted: u64,
-    /// Snapshots shed by adaptive sampling, cumulative.
-    pub sampled_out: u64,
+    /// Snapshots the ingestion front refused under `Reject`,
+    /// cumulative.
+    pub rejected: u64,
     /// Per-stage latency histograms, as [`crate::Tracer::snapshot`]
     /// returns them (in [`Stage::ALL`] order).
     pub stages: Vec<(Stage, LogHistogram)>,
@@ -281,9 +283,9 @@ impl BurnGauges {
                         .sequence_errors
                         .saturating_sub(baseline.sequence_errors);
                     let submitted_d = newest.submitted.saturating_sub(baseline.submitted);
-                    let sampled_d = newest.sampled_out.saturating_sub(baseline.sampled_out);
-                    let frames = decode_d + seq_d + submitted_d + sampled_d;
-                    let offered = submitted_d + sampled_d;
+                    let rejected_d = newest.rejected.saturating_sub(baseline.rejected);
+                    let frames = decode_d + seq_d + submitted_d + rejected_d;
+                    let offered = submitted_d + rejected_d;
                     let coverage = if offered == 0 {
                         1_000_000
                     } else {
@@ -326,7 +328,7 @@ mod tests {
         decode: u64,
         sequence: u64,
         submitted: u64,
-        sampled: u64,
+        rejected: u64,
         score_ns: &[u64],
     ) -> BurnSample {
         let mut stages = Stage::ALL.map(|s| (s, LogHistogram::new())).to_vec();
@@ -337,7 +339,7 @@ mod tests {
             decode_errors: decode,
             sequence_errors: sequence,
             submitted,
-            sampled_out: sampled,
+            rejected,
             stages,
         }
     }
@@ -405,7 +407,7 @@ mod tests {
 # TYPE gridwatch_burn_decode_error_ppm gauge
 # HELP gridwatch_burn_sequence_error_ppm Sequencing rejections per million frames over the window.
 # TYPE gridwatch_burn_sequence_error_ppm gauge
-# HELP gridwatch_burn_coverage_ppm Sampling coverage per million submissions over the window.
+# HELP gridwatch_burn_coverage_ppm Accepted snapshots per million offered over the window.
 # TYPE gridwatch_burn_coverage_ppm gauge
 # HELP gridwatch_burn_stage_p99_ns Windowed p99 stage latency in nanoseconds.
 # TYPE gridwatch_burn_stage_p99_ns gauge
@@ -493,7 +495,7 @@ gridwatch_burn_coverage_ppm{window=\"300s\"} 927835
             ),
             100_000
         );
-        // Coverage: nothing shed, both windows full.
+        // Coverage: nothing refused, both windows full.
         assert_eq!(
             gauge(&text, "gridwatch_burn_coverage_ppm", &[("window", "300s")]),
             1_000_000
@@ -505,10 +507,10 @@ gridwatch_burn_coverage_ppm{window=\"300s\"} 927835
         let gauges = BurnGauges::new();
         let mut early = sample(0, 0, 1_000, 0, &[100, 100, 100]);
         gauges.observe(0, early.clone());
-        // Between t=0 and t=290: sheds half, and the score stage slows
+        // Between t=0 and t=290: refuses half, and the score stage slows
         // from ~100ns to ~8000ns.
         early.submitted = 1_500;
-        early.sampled_out = 500;
+        early.rejected = 500;
         for _ in 0..100 {
             early.stages[4].1.record(8_000);
         }

@@ -109,7 +109,7 @@ impl PipelineObs {
 
 /// A live stage span (see [`PipelineObs::span`]). Dropping it unfinished
 /// still records the stage histogram: a stage that ran for no sequence
-/// number (a shed snapshot, a failed read) took time all the same.
+/// number (a rejected snapshot, a failed read) took time all the same.
 pub struct StageSpan<'a> {
     obs: &'a PipelineObs,
     stage: Stage,

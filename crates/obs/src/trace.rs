@@ -29,7 +29,7 @@ pub enum Stage {
     /// Per-source sequencing (dedup, reorder, gap handling).
     Sequence,
     /// Admission of one snapshot for fan-out to the shard queues
-    /// (sampling, the backpressure check, its sequence number). Time
+    /// (the backpressure check, its sequence number). Time
     /// blocked on a full queue is the backpressure-wait histogram's.
     Route,
     /// One shard scoring one snapshot against its pair models.

@@ -306,7 +306,7 @@ impl CoordinatorMetricsProbe {
             decode_errors: s.bad_boards,
             sequence_errors: s.stale_boards + s.duplicate_boards + s.replayed_boards,
             submitted: s.submitted,
-            sampled_out: 0,
+            rejected: 0,
             stages: self.obs.tracer.snapshot(),
         }
     }
@@ -410,9 +410,6 @@ impl Coordinator {
                         Tally::Replayed => stats.replayed_boards += 1,
                         Tally::Bad => stats.bad_boards += 1,
                         Tally::Checkpoint => stats.checkpoints += 1,
-                        // Workers never tombstone a step, so a fabric
-                        // step always finalizes with a board.
-                        Tally::EmptyStep => {}
                     }
                 },
             );

@@ -26,11 +26,12 @@
 //! * `submit(&mut self)` makes the ingestion front single-producer, so
 //!   sequence numbers are assigned in submission order and queue lengths
 //!   can only shrink underneath it.
-//! * Every accepted sequence number receives exactly one reply per shard
-//!   (a scored board, or a `Dropped` tombstone when the ingestion front
-//!   evicts it under [`BackpressurePolicy::DropOldest`]). The aggregator
-//!   finalizes sequence numbers strictly in order, releasing a report as
-//!   soon as the lowest outstanding one is fully replied.
+//! * Every accepted sequence number reaches every shard and receives
+//!   exactly one scored board per shard; load is only ever shed before a
+//!   sequence number exists ([`BackpressurePolicy::Reject`]), so every
+//!   report is a complete board. The aggregator finalizes sequence
+//!   numbers strictly in order, releasing a report as soon as the lowest
+//!   outstanding one is fully replied.
 //! * A checkpoint is a barrier: the caller announces the cut to the
 //!   aggregator, pushes a marker through every shard queue, and blocks
 //!   until the aggregator has merged every pre-cut step and written the
@@ -53,7 +54,7 @@ use gridwatch_obs::{BurnSample, FlightRecorder, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{may_block, LeafMutex};
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
-use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
+use crate::ingest::BackpressurePolicy;
 use crate::merge::{Cut, StepMerger, Tally};
 use crate::router::ShardRouter;
 use crate::stats::{NetStats, ServeStats};
@@ -68,12 +69,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// What the ingestion front does when a queue is full.
     pub backpressure: BackpressurePolicy,
-    /// Overload-aware adaptive sampling: when set and the deepest
-    /// shard queue crosses the watermark, the ingestion front sheds a
-    /// stratified subsample of incoming snapshots with explicit
-    /// coverage accounting, instead of letting the backpressure policy
-    /// lose arbitrary instants. `None` disables sampling.
-    pub sampling: Option<SamplingConfig>,
 }
 
 impl Default for ServeConfig {
@@ -82,7 +77,6 @@ impl Default for ServeConfig {
             shards: 1,
             queue_capacity: 64,
             backpressure: BackpressurePolicy::Block,
-            sampling: None,
         }
     }
 }
@@ -105,9 +99,6 @@ enum ShardReply {
         seq: u64,
         step: ScoredStep,
     },
-    /// The ingestion front evicted this sequence number from this
-    /// shard's queue; the shard will never score it.
-    Dropped { shard: usize, seq: u64 },
     /// A checkpoint was requested.
     CheckpointBegin(Cut<CheckpointError>),
     /// One shard finished writing its checkpoint file.
@@ -145,15 +136,10 @@ pub struct ShardedEngine {
     reply_sender: Sender<ShardReply>,
     reports_rx: Receiver<StepReport>,
     /// The live stats document, the observability handles, and receiver
-    /// clones of the shard queues (which `DropOldest` also steals the
-    /// oldest queued snapshot through).
+    /// clones of the shard queues for live depths.
     probe: StatsProbe,
     next_seq: u64,
     next_ckpt_id: u64,
-    /// Monotone submit counter driving the sampling stride (counts
-    /// only submits made while sampling is engaged, so coverage is
-    /// exactly 1-in-`stride` during each overload episode).
-    sample_tick: u64,
     workers: Vec<JoinHandle<()>>,
     aggregator: JoinHandle<()>,
 }
@@ -173,7 +159,6 @@ impl std::fmt::Debug for ShardReply {
             ShardReply::Scores { shard, seq, .. } => {
                 write!(f, "Scores(shard {shard}, seq {seq})")
             }
-            ShardReply::Dropped { shard, seq } => write!(f, "Dropped(shard {shard}, seq {seq})"),
             ShardReply::CheckpointBegin(cut) => {
                 write!(f, "CheckpointBegin(id {}, cut {})", cut.id, cut.cut_seq)
             }
@@ -225,11 +210,11 @@ impl ShardedEngine {
         let (reports_tx, reports_rx) = channel::unbounded::<StepReport>();
 
         let mut shard_senders = Vec::with_capacity(config.shards);
-        let mut shard_stealers = Vec::with_capacity(config.shards);
+        let mut queue_readers = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for (k, part) in partitions.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<ShardMsg>(config.queue_capacity);
-            shard_stealers.push(rx.clone());
+            queue_readers.push(rx.clone());
             shard_senders.push(tx);
             let reply = reply_tx.clone();
             let state = EngineSnapshot {
@@ -265,7 +250,6 @@ impl ShardedEngine {
                         live.reports += 1;
                         live.alarms += alarms as u64;
                     }
-                    Tally::EmptyStep => live.empty_steps += 1,
                     Tally::Checkpoint => live.checkpoints += 1,
                     // Each worker answers each sequence number once and
                     // shards own disjoint pairs, so none of these can
@@ -288,14 +272,13 @@ impl ShardedEngine {
             reports_rx,
             probe: StatsProbe {
                 stats,
-                queues: shard_stealers,
+                queues: queue_readers,
                 obs,
                 queue_capacity: config.queue_capacity,
                 net: None,
             },
             next_seq: 0,
             next_ckpt_id: 0,
-            sample_tick: 0,
             workers,
             aggregator,
         }
@@ -312,12 +295,13 @@ impl ShardedEngine {
     }
 
     /// Submits one snapshot to every shard, applying the configured
-    /// backpressure policy, and reports what happened to it.
+    /// backpressure policy. Returns the snapshot's sequence number, or
+    /// `None` when [`BackpressurePolicy::Reject`] refused it.
     ///
     /// Takes `&mut self` deliberately: a single-producer ingestion front
-    /// is what makes sequence numbering, the `Reject` pre-check, and the
-    /// `DropOldest` steal loop race-free.
-    pub fn submit(&mut self, snapshot: Snapshot) -> IngestReport {
+    /// is what makes sequence numbering and the `Reject` pre-check
+    /// race-free.
+    pub fn submit(&mut self, snapshot: Snapshot) -> Option<u64> {
         self.submit_traced(snapshot, "local", &[])
     }
 
@@ -334,15 +318,15 @@ impl ShardedEngine {
         snapshot: Snapshot,
         source: &str,
         wire_spans: &[SpanSlice],
-    ) -> IngestReport {
+    ) -> Option<u64> {
         // Clone the handles so the span's borrow does not pin `self`.
         let obs = self.probe.obs.clone();
         let at_secs = snapshot.at().as_secs();
         let route = obs.span(Stage::Route);
         // Routing ends at admission, and the trace is complete up to it
         // before the first queue send: a fast shard's slices must find
-        // it open. A shed or rejected snapshot has no trace to file the
-        // span under; dropping it unfinished still times the stage.
+        // it open. A rejected snapshot has no trace to file the span
+        // under; dropping it unfinished still times the stage.
         self.submit_inner(snapshot, |seq| {
             if obs.exemplar.is_enabled() {
                 obs.exemplar.open(seq, source, at_secs);
@@ -359,114 +343,31 @@ impl ShardedEngine {
     }
 
     /// Routes one snapshot. `admitted(seq)` runs once the snapshot has
-    /// passed sampling and admission and holds its sequence number, before
-    /// any shard queue sees it; a shed or rejected snapshot never calls it.
-    fn submit_inner(&mut self, snapshot: Snapshot, admitted: impl FnOnce(u64)) -> IngestReport {
+    /// passed admission and holds its sequence number, before any shard
+    /// queue sees it; a rejected snapshot never calls it.
+    ///
+    /// An admitted snapshot is broadcast to every shard, blocking on
+    /// full queues. The submit is counted before the first send: a fast
+    /// shard can emit the report before the loop ends. Each send tries
+    /// the non-blocking path first so the (rare) blocked case can be
+    /// timed: the wait is what the backpressure-wait distribution
+    /// measures.
+    fn submit_inner(&mut self, snapshot: Snapshot, admitted: impl FnOnce(u64)) -> Option<u64> {
         // Sample every queue's depth up front: the distribution feeds
         // capacity planning, and `Reject` reuses the same reading for
         // its admission check.
         let depths: Vec<usize> = self.shard_senders.iter().map(|tx| tx.len()).collect();
-        // Overload sampling runs before any backpressure policy: a shed
-        // snapshot reaches no queue at all, so every shard sees the
-        // same (stratified) substream and merged boards stay complete.
-        if let Some(sampling) = self.config.sampling {
-            let deepest = depths.iter().copied().max().unwrap_or(0);
-            if sampling.stride >= 2 && deepest >= sampling.watermark(self.config.queue_capacity) {
-                let tick = self.sample_tick;
-                self.sample_tick += 1;
-                if !tick.is_multiple_of(u64::from(sampling.stride)) {
-                    self.count_submit(&depths, |live| live.sampled_out += 1);
-                    return IngestReport {
-                        seq: None,
-                        evicted: 0,
-                        sampled_out: true,
-                    };
-                }
-            }
+        // Single producer: if every queue has room now, the blocking
+        // sends below cannot actually block.
+        let (policy, cap) = (self.config.backpressure, self.config.queue_capacity);
+        if policy == BackpressurePolicy::Reject && depths.iter().any(|&depth| depth >= cap) {
+            self.count_submit(&depths, |live| live.rejected += 1);
+            return None;
         }
-        match self.config.backpressure {
-            BackpressurePolicy::Block => {
-                let seq = self.broadcast_blocking(snapshot, &depths, admitted);
-                IngestReport {
-                    seq: Some(seq),
-                    evicted: 0,
-                    sampled_out: false,
-                }
-            }
-            BackpressurePolicy::Reject => {
-                // Single producer: if every queue has room now, the
-                // blocking sends below cannot actually block.
-                let cap = self.config.queue_capacity;
-                if depths.iter().any(|&depth| depth >= cap) {
-                    self.count_submit(&depths, |live| live.rejected += 1);
-                    return IngestReport {
-                        seq: None,
-                        evicted: 0,
-                        sampled_out: false,
-                    };
-                }
-                let seq = self.broadcast_blocking(snapshot, &depths, admitted);
-                IngestReport {
-                    seq: Some(seq),
-                    evicted: 0,
-                    sampled_out: false,
-                }
-            }
-            BackpressurePolicy::DropOldest => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                admitted(seq);
-                self.count_submit(&depths, |live| live.submitted += 1);
-                let snap = Arc::new(snapshot);
-                let mut evicted_total = 0u64;
-                for (k, tx) in self.shard_senders.iter().enumerate() {
-                    let evicted = push_evicting(
-                        tx,
-                        &self.probe.queues[k],
-                        ShardMsg::Snapshot {
-                            seq,
-                            snap: Arc::clone(&snap),
-                        },
-                    );
-                    if !evicted.is_empty() {
-                        self.probe.stats.lock().shards[k].evicted += evicted.len() as u64;
-                        evicted_total += evicted.len() as u64;
-                        for old_seq in evicted {
-                            #[expect(clippy::expect_used, reason = "disconnected only by a panic")]
-                            self.reply_sender
-                                .send(ShardReply::Dropped {
-                                    shard: k,
-                                    seq: old_seq,
-                                })
-                                .expect("aggregator disconnected");
-                        }
-                    }
-                }
-                IngestReport {
-                    seq: Some(seq),
-                    evicted: evicted_total,
-                    sampled_out: false,
-                }
-            }
-        }
-    }
-
-    /// Assigns a sequence number and broadcasts to every shard,
-    /// blocking on full queues. The submit is counted before the first
-    /// send: a fast shard can emit the report before the loop ends. Each
-    /// send tries the non-blocking path first so the (rare) blocked case
-    /// can be timed: the wait is what the backpressure-wait distribution
-    /// measures.
-    fn broadcast_blocking(
-        &mut self,
-        snapshot: Snapshot,
-        depths: &[usize],
-        admitted: impl FnOnce(u64),
-    ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         admitted(seq);
-        self.count_submit(depths, |live| live.submitted += 1);
+        self.count_submit(&depths, |live| live.submitted += 1);
         let snap = Arc::new(snapshot);
         let mut waits: Vec<(usize, u64)> = Vec::new();
         for (k, tx) in self.shard_senders.iter().enumerate() {
@@ -492,7 +393,7 @@ impl ShardedEngine {
                 live.shards[k].backpressure_wait_ns.record(wait_ns);
             }
         }
-        seq
+        Some(seq)
     }
 
     /// Accounts one submit under a single lock of the live document:
@@ -683,15 +584,15 @@ impl StatsProbe {
             decode_errors: stats.net.decode_errors,
             sequence_errors: stats.net.gap_skips,
             submitted: stats.submitted,
-            sampled_out: stats.sampled_out,
+            rejected: stats.rejected,
             stages: self.obs.tracer.snapshot(),
         }
     }
 
     /// The structural half of the health document: per-shard queue
-    /// occupancy and liveness, sampler coverage, and the alarm total.
+    /// occupancy and liveness, admission coverage, and the alarm total.
     /// Callers layer on deployment state (checkpoint age, WAL lag,
-    /// alarm/shed deltas) before serving it from `/healthz`.
+    /// alarm deltas) before serving it from `/healthz`.
     pub fn health_report(&self) -> gridwatch_obs::HealthReport {
         let stats = self.stats();
         let mut report = gridwatch_obs::HealthReport {
@@ -729,42 +630,6 @@ impl StatsProbe {
 impl std::fmt::Debug for StatsProbe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "StatsProbe({} shards)", self.queues.len())
-    }
-}
-
-/// Pushes `msg` into a full-or-not shard queue, evicting the oldest
-/// queued snapshots until it fits; returns the evicted sequence numbers.
-///
-/// Only called from the single-producer ingestion front, so the loop
-/// terminates: nobody else refills the queue between a steal and the
-/// retry. A steal can lose the race against the worker draining the same
-/// message — that is fine, the retry just finds room.
-fn push_evicting(
-    tx: &Sender<ShardMsg>,
-    stealer: &Receiver<ShardMsg>,
-    mut msg: ShardMsg,
-) -> Vec<u64> {
-    let mut evicted = Vec::new();
-    loop {
-        match tx.try_send(msg) {
-            Ok(()) => return evicted,
-            Err(TrySendError::Full(back)) => {
-                msg = back;
-                match stealer.try_recv() {
-                    Ok(ShardMsg::Snapshot { seq, .. }) => evicted.push(seq),
-                    // Checkpoint markers are fully consumed before
-                    // `checkpoint` returns and submits resume, so the
-                    // steal can never see one.
-                    Ok(ShardMsg::Checkpoint { .. }) => {
-                        unreachable!("checkpoint marker in queue during submit")
-                    }
-                    // The worker drained the queue first; retry.
-                    Err(_) => {}
-                }
-            }
-            #[expect(clippy::panic, reason = "disconnected only by a panic")]
-            Err(TrySendError::Disconnected(_)) => panic!("shard worker disconnected"),
-        }
     }
 }
 
@@ -860,7 +725,6 @@ fn aggregator_loop<T: FnMut(Tally)>(
                 );
                 merger.offer(shard, seq, step.board, step.elapsed_ns, slice.as_slice());
             }
-            ShardReply::Dropped { shard, seq } => merger.tombstone(shard, seq),
             ShardReply::CheckpointBegin(cut) => merger.begin_cut(cut),
             ShardReply::CheckpointFile { shard, id, result } => {
                 merger.shard_file(shard, id, result)
@@ -969,20 +833,16 @@ mod tests {
                     shards,
                     queue_capacity: 4,
                     backpressure: BackpressurePolicy::Block,
-                    sampling: None,
                 },
             );
             for snap in &trace {
-                let report = engine.submit(snap.clone());
-                assert!(report.accepted());
-                assert_eq!(report.evicted, 0);
+                assert!(engine.submit(snap.clone()).is_some());
             }
             let (reports, stats) = engine.shutdown();
             assert_eq!(reports, want, "{shards} shards");
             assert_eq!(stats.submitted, trace.len() as u64);
             assert_eq!(stats.reports, trace.len() as u64);
             assert_eq!(stats.rejected, 0);
-            assert_eq!(stats.total_evicted(), 0);
         }
     }
 
@@ -997,7 +857,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         let mut streamed = Vec::new();
@@ -1030,7 +889,6 @@ mod tests {
                 shards: 3,
                 queue_capacity: 8,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         for snap in &trace {
@@ -1061,7 +919,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         let dir = scratch_dir("ckpt-continue");
@@ -1077,151 +934,49 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_accounts_for_every_snapshot() {
-        let snapshot = trained();
-        let trace = trace(60);
-        let mut engine = ShardedEngine::start(
-            snapshot,
-            ServeConfig {
-                shards: 2,
-                queue_capacity: 1,
-                backpressure: BackpressurePolicy::DropOldest,
-                sampling: None,
-            },
-        );
-        let mut evicted = 0;
-        for snap in &trace {
-            let report = engine.submit(snap.clone());
-            assert!(report.accepted(), "drop-oldest never refuses new data");
-            evicted += report.evicted;
-        }
-        let (reports, stats) = engine.shutdown();
-        assert_eq!(stats.submitted, trace.len() as u64);
-        assert_eq!(stats.total_evicted(), evicted);
-        // Every accepted seq is finalized exactly once: as a report or
-        // as an all-shards-dropped empty step.
-        assert_eq!(
-            stats.reports + stats.empty_steps,
-            trace.len() as u64,
-            "stats: {}",
-            stats.to_json()
-        );
-        assert_eq!(reports.len() as u64, stats.reports);
-        // The final snapshot has nothing submitted after it, so it can
-        // never be evicted: the last report is always its full board.
-        let last = reports.last().expect("at least the final report");
-        assert_eq!(last.scores.at(), trace.last().unwrap().at());
-    }
-
-    #[test]
-    fn overload_sampling_sheds_with_explicit_coverage_accounting() {
-        let snapshot = trained();
-        let pair_count = snapshot.models.len();
-        // A 1-deep queue with a watermark at 100% engages the sampler
-        // whenever the worker has not yet drained the previous
-        // snapshot, which a tight submit loop guarantees plenty of.
-        let mut engine = ShardedEngine::start(
-            snapshot,
-            ServeConfig {
-                shards: 1,
-                queue_capacity: 1,
-                backpressure: BackpressurePolicy::Block,
-                sampling: Some(SamplingConfig {
-                    watermark_pct: 100,
-                    stride: 2,
-                }),
-            },
-        );
-        let offered = 400u64;
-        let mut shed = 0u64;
-        for k in 0..offered {
-            let snap = trace(1).pop().unwrap();
-            let _ = k;
-            let report = engine.submit(snap);
-            if report.sampled_out {
-                assert!(report.seq.is_none(), "a shed snapshot gets no seq");
-                assert_eq!(report.evicted, 0);
-                shed += 1;
-            }
-        }
-        let (reports, stats) = engine.shutdown();
-        assert_eq!(stats.sampled_out, shed);
-        assert!(stats.sampled_out > 0, "flood must engage the sampler");
-        assert_eq!(stats.submitted + stats.sampled_out, offered);
-        // Quality accounting: coverage is exactly the admitted share.
-        let want = stats.submitted as f64 / offered as f64;
-        assert!(
-            (stats.coverage_fraction - want).abs() < 1e-12,
-            "coverage {} vs {}",
-            stats.coverage_fraction,
-            want
-        );
-        // A shed snapshot reaches no queue: every admitted instant is
-        // scored by every shard, so all boards stay complete.
-        assert_eq!(reports.len() as u64, stats.submitted);
-        assert_eq!(stats.empty_steps, 0);
-        for report in &reports {
-            assert_eq!(report.scores.len(), pair_count);
-        }
-    }
-
-    #[test]
-    fn sampling_below_watermark_never_sheds() {
-        let snapshot = trained();
-        let trace = trace(24);
-        let want = reference_reports(snapshot.clone(), &trace);
-        // Capacity far above the trace length: the watermark is
-        // unreachable, so the report stream is bit-identical to an
-        // unsampled engine's and coverage stays 1.0.
-        let mut engine = ShardedEngine::start(
-            snapshot,
-            ServeConfig {
-                shards: 2,
-                queue_capacity: 1024,
-                backpressure: BackpressurePolicy::Block,
-                sampling: Some(SamplingConfig::default()),
-            },
-        );
-        for snap in &trace {
-            let report = engine.submit(snap.clone());
-            assert!(!report.sampled_out);
-        }
-        let (reports, stats) = engine.shutdown();
-        assert_eq!(reports, want);
-        assert_eq!(stats.sampled_out, 0);
-        assert!((stats.coverage_fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn reject_keeps_accepted_stream_consistent() {
         let snapshot = trained();
-        let trace = trace(60);
+        let trace = trace(200);
         let mut engine = ShardedEngine::start(
             snapshot.clone(),
             ServeConfig {
                 shards: 2,
                 queue_capacity: 1,
                 backpressure: BackpressurePolicy::Reject,
-                sampling: None,
             },
         );
-        let pair_count = snapshot.models.len();
-        let mut accepted = 0u64;
+        let mut accepted = Vec::new();
         for snap in &trace {
-            if engine.submit(snap.clone()).accepted() {
-                accepted += 1;
+            if let Some(seq) = engine.submit(snap.clone()) {
+                assert_eq!(seq, accepted.len() as u64, "accepted seqs are dense");
+                accepted.push(snap.clone());
             }
         }
+        let probe = engine.stats_probe();
         let (reports, stats) = engine.shutdown();
-        assert_eq!(stats.submitted, accepted);
+        assert!(
+            stats.rejected > 0,
+            "a one-slot queue must refuse part of a tight submit loop"
+        );
+        assert_eq!(stats.submitted, accepted.len() as u64);
         assert_eq!(stats.submitted + stats.rejected, trace.len() as u64);
-        // A rejected snapshot reaches no shard, so every report is a
-        // complete board over all pairs.
-        assert_eq!(reports.len() as u64, accepted);
-        assert_eq!(stats.empty_steps, 0);
-        for report in &reports {
-            assert_eq!(report.scores.len(), pair_count);
-        }
+        // A rejected snapshot reaches no shard, so the stream is exactly
+        // an unsharded engine stepped over the accepted snapshots.
+        assert_eq!(reports, reference_reports(snapshot, &accepted));
+        // Coverage counts the refusals: it is the accepted share, and
+        // the health document agrees with the stats.
+        let offered = stats.submitted + stats.rejected;
+        let want = stats.submitted as f64 / offered as f64;
+        assert!(stats.coverage_fraction < 1.0);
+        assert!(
+            (stats.coverage_fraction - want).abs() < 1e-12,
+            "coverage {} vs {want}",
+            stats.coverage_fraction
+        );
+        assert_eq!(
+            probe.health_report().coverage_ppm,
+            (stats.coverage_fraction * 1_000_000.0) as u64
+        );
     }
 
     #[test]
@@ -1234,7 +989,6 @@ mod tests {
                 shards: 4,
                 queue_capacity: 8,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         for snap in &trace {
@@ -1267,7 +1021,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
             obs.clone(),
         );
@@ -1324,7 +1077,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
             obs.clone(),
         );
@@ -1362,10 +1114,10 @@ mod tests {
         }
     }
 
-    /// Traces open only for admitted snapshots: with sampling and a
-    /// rejecting one-slot queue, every seq the engine handed out is
-    /// retained whole (head sampling keeps all), and nothing is left
-    /// pending for a snapshot that was shed or rejected.
+    /// Traces open only for admitted snapshots: with a rejecting
+    /// one-slot queue, every seq the engine handed out is retained whole
+    /// (head sampling keeps all), and nothing is left pending for a
+    /// snapshot that was rejected.
     #[test]
     fn shed_and_rejected_snapshots_leave_no_pending_trace() {
         let snapshot = trained();
@@ -1384,16 +1136,12 @@ mod tests {
                 shards: 2,
                 queue_capacity: 1,
                 backpressure: BackpressurePolicy::Reject,
-                sampling: Some(SamplingConfig {
-                    watermark_pct: 100,
-                    stride: 2,
-                }),
             },
             obs.clone(),
         );
         let admitted: Vec<u64> = trace
             .iter()
-            .filter_map(|snap| engine.submit(snap.clone()).seq)
+            .filter_map(|snap| engine.submit(snap.clone()))
             .collect();
         engine.shutdown();
         assert_eq!(obs.exemplar.pending(), 0);
@@ -1422,7 +1170,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
             obs.clone(),
         );
@@ -1459,7 +1206,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 4,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         for snap in &trace {
@@ -1487,7 +1233,6 @@ mod tests {
                 shards: 4,
                 queue_capacity: 8,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         for snap in head {
@@ -1506,7 +1251,6 @@ mod tests {
                 shards: 2,
                 queue_capacity: 8,
                 backpressure: BackpressurePolicy::Block,
-                sampling: None,
             },
         );
         for snap in tail {

@@ -1,4 +1,4 @@
-//! Ingestion-side backpressure policy and accounting.
+//! Ingestion-side backpressure policy.
 
 use std::fmt;
 use std::str::FromStr;
@@ -12,11 +12,6 @@ pub enum BackpressurePolicy {
     /// sharded engine stays bit-identical to an unsharded one.
     #[default]
     Block,
-    /// Evict the oldest queued snapshot of the full shard to make room.
-    /// Lossy per shard: shards can skip different instants under
-    /// pressure; the merged boards reflect only the pairs whose shard
-    /// scored that instant, and every eviction is counted per shard.
-    DropOldest,
     /// Refuse the new snapshot outright when any shard queue is full.
     /// Lossy but consistent: a rejected snapshot reaches no shard, so
     /// all shards always see the same (sub)stream.
@@ -27,7 +22,6 @@ impl fmt::Display for BackpressurePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackpressurePolicy::Block => write!(f, "block"),
-            BackpressurePolicy::DropOldest => write!(f, "drop-oldest"),
             BackpressurePolicy::Reject => write!(f, "reject"),
         }
     }
@@ -43,7 +37,7 @@ impl fmt::Display for ParsePolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backpressure policy {:?} (expected block, drop-oldest, or reject)",
+            "unknown backpressure policy {:?} (expected block or reject)",
             self.offered
         )
     }
@@ -57,75 +51,11 @@ impl FromStr for BackpressurePolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "block" => Ok(BackpressurePolicy::Block),
-            "drop-oldest" | "drop_oldest" => Ok(BackpressurePolicy::DropOldest),
             "reject" => Ok(BackpressurePolicy::Reject),
             other => Err(ParsePolicyError {
                 offered: other.to_string(),
             }),
         }
-    }
-}
-
-/// Overload-aware adaptive sampling at the ingestion front.
-///
-/// When the deepest shard queue crosses the watermark, the front
-/// degrades *deliberately*: it keeps every `stride`-th snapshot and
-/// sheds the rest — a stratified subsample of the stream, evenly
-/// spread in time — instead of letting the backpressure policy drop
-/// whichever instants happen to be oldest. Every shed snapshot is
-/// counted ([`crate::ServeStats::sampled_out`]) and the achieved
-/// coverage is reported ([`crate::ServeStats::coverage_fraction`]),
-/// so the quality loss is explicit rather than silent.
-///
-/// Below the watermark the sampler is inert and the report stream is
-/// bit-identical to an unsampled engine's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplingConfig {
-    /// Queue-depth watermark as a percentage of `queue_capacity`
-    /// (clamped to 100). Sampling engages while the *deepest* shard
-    /// queue is at or above this fill level.
-    pub watermark_pct: u8,
-    /// Keep one snapshot in `stride` while sampling (2 = halve the
-    /// rate). Values below 2 disable shedding.
-    pub stride: u32,
-}
-
-impl Default for SamplingConfig {
-    fn default() -> Self {
-        SamplingConfig {
-            watermark_pct: 75,
-            stride: 2,
-        }
-    }
-}
-
-impl SamplingConfig {
-    /// The queue depth at which sampling engages, for a given shard
-    /// queue capacity. At least 1, so an empty queue never samples.
-    pub fn watermark(&self, queue_capacity: usize) -> usize {
-        let pct = usize::from(self.watermark_pct.min(100));
-        (queue_capacity * pct / 100).max(1)
-    }
-}
-
-/// What happened to one submitted snapshot at the ingestion front.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestReport {
-    /// The sequence number assigned to the snapshot, or `None` when it
-    /// was rejected or sampled out.
-    pub seq: Option<u64>,
-    /// Queued snapshots evicted (summed over shards) to make room for
-    /// this one under [`BackpressurePolicy::DropOldest`].
-    pub evicted: u64,
-    /// Whether the snapshot was shed by overload sampling (see
-    /// [`SamplingConfig`]) before reaching any queue.
-    pub sampled_out: bool,
-}
-
-impl IngestReport {
-    /// Whether the snapshot was accepted into at least the queues.
-    pub fn accepted(&self) -> bool {
-        self.seq.is_some()
     }
 }
 
@@ -135,20 +65,12 @@ mod tests {
 
     #[test]
     fn policy_parses_its_display_form() {
-        for policy in [
-            BackpressurePolicy::Block,
-            BackpressurePolicy::DropOldest,
-            BackpressurePolicy::Reject,
-        ] {
+        for policy in [BackpressurePolicy::Block, BackpressurePolicy::Reject] {
             assert_eq!(
                 policy.to_string().parse::<BackpressurePolicy>().unwrap(),
                 policy
             );
         }
-        assert_eq!(
-            "drop_oldest".parse::<BackpressurePolicy>().unwrap(),
-            BackpressurePolicy::DropOldest
-        );
         let err = "flood".parse::<BackpressurePolicy>().unwrap_err();
         assert!(err.to_string().contains("flood"));
     }
@@ -156,17 +78,5 @@ mod tests {
     #[test]
     fn default_policy_is_lossless() {
         assert_eq!(BackpressurePolicy::default(), BackpressurePolicy::Block);
-    }
-
-    #[test]
-    fn sampling_watermark_scales_with_capacity_and_never_hits_zero() {
-        let sampling = SamplingConfig::default();
-        assert_eq!(sampling.watermark(64), 48); // 75% of 64
-        assert_eq!(sampling.watermark(1), 1); // floor
-        let full = SamplingConfig {
-            watermark_pct: 200, // clamped to 100
-            stride: 2,
-        };
-        assert_eq!(full.watermark(10), 10);
     }
 }

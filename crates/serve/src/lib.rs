@@ -53,7 +53,7 @@ pub use coordinator::{
 };
 pub use engine::{ServeConfig, ShardedEngine, StatsProbe};
 pub use history::{score_rows, HistoryDepth, HistorySink};
-pub use ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
+pub use ingest::BackpressurePolicy;
 pub use net::{NetConfig, NetServer};
 pub use remote::{
     decode_downstream, decode_response, encode_control, encode_response, read_frame, write_frame,

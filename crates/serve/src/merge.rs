@@ -8,10 +8,13 @@
 //! (`coordinator.rs`) are message adapters over it. Each keeps only
 //! what is genuinely its own — per-shard stats and gauges locally;
 //! epoch/liveness fencing, the migration state cache and disconnect
-//! handling on the fabric — and feeds it boards, tombstones and shard
-//! checkpoint files. The merger is single-threaded and holds no locks:
+//! handling on the fabric — and feeds it boards and shard checkpoint
+//! files. Every shard scores every sequenced step, so a step finalizes
+//! only once each shard's board is in, and every report is a complete
+//! board. The merger is single-threaded and holds no locks:
 //! everything it counts leaves through the adapter's [`Tally`] sink.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -36,8 +39,6 @@ pub(crate) enum Tally {
         /// Alarm events on the report.
         alarms: usize,
     },
-    /// A step finalized with no board: every shard tombstoned it.
-    EmptyStep,
     /// A reply dropped because its (seq, shard) slot was already filled.
     Duplicate,
     /// A reply dropped for a step already emitted (migration replay
@@ -81,7 +82,7 @@ struct CutOp<E> {
 /// One in-flight sequence number: the partial merge so far and which
 /// shards have answered.
 struct PendingStep {
-    board: Option<ScoreBoard>,
+    board: ScoreBoard,
     replied: Vec<bool>,
     replies: usize,
 }
@@ -180,49 +181,33 @@ where
             ..
         } = self;
         let merge = obs.span(Stage::Merge);
-        let entry = pending
-            .entry(seq)
-            .or_insert_with(|| PendingStep::new(spare, *shards));
-        if entry.replied[shard] {
-            tally(Tally::Duplicate);
-            return;
+        let slot = pending.entry(seq);
+        if let Entry::Occupied(entry) = &slot {
+            if entry.get().replied[shard] {
+                tally(Tally::Duplicate);
+                return;
+            }
         }
         obs.tracer.record_ns(Stage::Score, score_ns);
         obs.exemplar.record_slices(seq, spans);
-        // `try_merge`, not `merge`: a mismatched instant or a pair two
-        // shards both claim is a violation to count, not a panic.
-        let merged = match entry.board.as_mut() {
-            None => {
-                entry.board = Some(board);
-                true
+        match slot {
+            Entry::Vacant(slot) => {
+                slot.insert(PendingStep::new(spare, *shards, shard, board));
             }
-            Some(merged) => merged.try_merge(board).is_ok(),
-        };
-        if merged {
-            entry.replied[shard] = true;
-            entry.replies += 1;
-        } else {
-            tally(Tally::Bad);
+            Entry::Occupied(entry) => {
+                let entry = entry.into_mut();
+                // `try_merge`, not `merge`: a mismatched instant or a
+                // pair two shards both claim is a violation to count,
+                // not a panic.
+                if entry.board.try_merge(board).is_ok() {
+                    entry.replied[shard] = true;
+                    entry.replies += 1;
+                } else {
+                    tally(Tally::Bad);
+                }
+            }
         }
         merge.finish(seq, label);
-    }
-
-    /// `shard` will never score `seq`: the ingestion front evicted it
-    /// from that shard's queue.
-    pub(crate) fn tombstone(&mut self, shard: usize, seq: u64) {
-        if !self.expects(shard, seq) {
-            return;
-        }
-        let entry = self
-            .pending
-            .entry(seq)
-            .or_insert_with(|| PendingStep::new(&mut self.spare, self.shards));
-        if entry.replied[shard] {
-            (self.tally)(Tally::Duplicate);
-        } else {
-            entry.replied[shard] = true;
-            entry.replies += 1;
-        }
     }
 
     /// Finalizes every fully-replied step at the head of the queue,
@@ -238,7 +223,7 @@ where
                 break;
             };
             self.next_emit = seq + 1;
-            self.emit(seq, entry.board.take());
+            self.emit(seq, entry.board);
             entry.replied.fill(false);
             self.spare.push(entry.replied);
         }
@@ -247,41 +232,30 @@ where
 
     /// Runs the single alarm tracker over one finalized step and sends
     /// its report.
-    fn emit(&mut self, seq: u64, board: Option<ScoreBoard>) {
+    fn emit(&mut self, seq: u64, board: ScoreBoard) {
         let obs = &self.obs;
         let report = obs.span(Stage::Report);
-        let mut alarmed = false;
-        match board {
-            Some(board) => {
-                let alarms = self.tracker.evaluate(&board, &self.config.alarm);
-                (self.tally)(Tally::Report {
-                    alarms: alarms.len(),
-                });
-                alarmed = !alarms.is_empty();
-                if alarmed {
-                    obs.recorder.record(
-                        "alarm",
-                        format_args!(
-                            "{} alarm event(s) at t={} (seq {seq})",
-                            alarms.len(),
-                            board.at()
-                        ),
-                    );
-                }
-                // A gone receiver means shutdown is under way; keep
-                // merging so checkpoints still complete.
-                let _ = self.reports_tx.send(StepReport {
-                    scores: board,
-                    alarms,
-                });
-            }
-            // Every shard evicted this instant: nothing to report.
-            None => {
-                (self.tally)(Tally::EmptyStep);
-                obs.recorder
-                    .record("empty-step", format_args!("seq {seq} fully evicted"));
-            }
+        let alarms = self.tracker.evaluate(&board, &self.config.alarm);
+        (self.tally)(Tally::Report {
+            alarms: alarms.len(),
+        });
+        let alarmed = !alarms.is_empty();
+        if alarmed {
+            obs.recorder.record(
+                "alarm",
+                format_args!(
+                    "{} alarm event(s) at t={} (seq {seq})",
+                    alarms.len(),
+                    board.at()
+                ),
+            );
         }
+        // A gone receiver means shutdown is under way; keep merging so
+        // checkpoints still complete.
+        let _ = self.reports_tx.send(StepReport {
+            scores: board,
+            alarms,
+        });
         report.finish(seq, self.label);
         obs.exemplar.finalize(seq, alarmed);
     }
@@ -377,11 +351,14 @@ where
 }
 
 impl PendingStep {
-    fn new(spare: &mut Vec<Vec<bool>>, shards: usize) -> Self {
+    /// A step opened by `shard`'s board, the first to arrive.
+    fn new(spare: &mut Vec<Vec<bool>>, shards: usize, shard: usize, board: ScoreBoard) -> Self {
+        let mut replied = spare.pop().unwrap_or_else(|| vec![false; shards]);
+        replied[shard] = true;
         PendingStep {
-            board: None,
-            replied: spare.pop().unwrap_or_else(|| vec![false; shards]),
-            replies: 0,
+            board,
+            replied,
+            replies: 1,
         }
     }
 }
@@ -603,25 +580,6 @@ mod tests {
         assert_eq!(count(&tallies, Tally::Replayed), 2);
         let (want, _) = reference(2, 0..1);
         assert_eq!(drain(&reports), want);
-    }
-
-    #[test]
-    fn tombstones_complete_a_step_without_contributing_a_board() {
-        let (mut merger, reports, tallies) = merger(2, 0);
-        // Seq 0: both shards evicted it. No report, one empty step.
-        merger.tombstone(0, 0);
-        merger.tombstone(1, 0);
-        merger.tombstone(1, 0);
-        merger.advance();
-        assert!(reports.try_recv().is_err());
-        assert_eq!(*tallies.borrow(), [Tally::Duplicate, Tally::EmptyStep]);
-        // Seq 1: shard 1 evicted it, shard 0 scored it. The report is
-        // shard 0's board alone.
-        merger.tombstone(1, 1);
-        feed(&mut merger, &[(0, 1)]);
-        let report = reports.try_recv().expect("partial step reports");
-        assert_eq!(report.scores, board(0, 1));
-        assert_eq!(count(&tallies, Tally::Report { alarms: 0 }), 1);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! one bounded channel where the configured [`BackpressurePolicy`]
 //! applies at the socket boundary — `block` never loses a frame (the
 //! client's TCP window absorbs the stall), `reject` refuses frames while
-//! the channel is full, `drop-oldest` evicts the oldest queued frame.
+//! the channel is full. Either way a frame is whole or gone before it is
+//! sequenced.
 //!
 //! The ingest thread owns the engine. It runs admitted frames through a
 //! [`SourceTable`] — duplicates from reconnect-with-replay are absorbed,
@@ -121,9 +122,6 @@ enum Delivery {
     /// The channel was full under [`BackpressurePolicy::Reject`]; the
     /// frame was discarded.
     Rejected,
-    /// The frame entered after evicting this many older queued frames
-    /// under [`BackpressurePolicy::DropOldest`].
-    DeliveredEvicting(u64),
     /// The ingest side of the channel is gone (shutdown already
     /// stopped it, or it died); the connection should stop reading.
     IngestGone,
@@ -131,19 +129,10 @@ enum Delivery {
 
 /// Applies the backpressure policy to one frame at the channel mouth.
 ///
-/// `stealer` is a receiver clone of the same channel, used only by
-/// `DropOldest` to evict the head. A steal can lose the race against the
-/// ingest thread draining the same frame — the retry just finds room.
-///
 /// A disconnected channel is reported as [`Delivery::IngestGone`], never
 /// a panic: a connection thread racing shutdown must wind down quietly
 /// instead of taking the listener's stats with it.
-fn deliver(
-    policy: BackpressurePolicy,
-    tx: &Sender<WireFrame>,
-    stealer: &Receiver<WireFrame>,
-    frame: WireFrame,
-) -> Delivery {
+fn deliver(policy: BackpressurePolicy, tx: &Sender<WireFrame>, frame: WireFrame) -> Delivery {
     match policy {
         BackpressurePolicy::Block => match tx.send(frame) {
             Ok(()) => Delivery::Delivered,
@@ -154,22 +143,6 @@ fn deliver(
             Err(TrySendError::Full(_)) => Delivery::Rejected,
             Err(TrySendError::Disconnected(_)) => Delivery::IngestGone,
         },
-        BackpressurePolicy::DropOldest => {
-            let mut evicted = 0;
-            let mut frame = frame;
-            loop {
-                match tx.try_send(frame) {
-                    Ok(()) => return Delivery::DeliveredEvicting(evicted),
-                    Err(TrySendError::Full(back)) => {
-                        frame = back;
-                        if stealer.try_recv().is_ok() {
-                            evicted += 1;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => return Delivery::IngestGone,
-                }
-            }
-        }
     }
 }
 
@@ -267,9 +240,6 @@ impl NetServer {
         let table = SourceTable::resume(net.reorder_capacity, sources);
 
         let (frame_tx, frame_rx) = channel::bounded::<WireFrame>(net.ingest_capacity);
-        // Receiver clone for the `DropOldest` steal path; receivers do
-        // not keep the channel alive, so this never blocks shutdown.
-        let frame_stealer = frame_rx.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Shared<ConnRegistry> = Arc::new(LeafMutex::new(ConnRegistry::default()));
 
@@ -292,19 +262,7 @@ impl NetServer {
             let obs = obs.clone();
             let spawned = std::thread::Builder::new()
                 .name("gw-net-accept".to_string())
-                .spawn(move || {
-                    accept_loop(
-                        listener,
-                        stop,
-                        conns,
-                        net_acc,
-                        tx,
-                        frame_stealer,
-                        policy,
-                        cfg,
-                        obs,
-                    )
-                });
+                .spawn(move || accept_loop(listener, stop, conns, net_acc, tx, policy, cfg, obs));
             match spawned {
                 Ok(handle) => handle,
                 Err(e) => {
@@ -435,7 +393,6 @@ fn accept_loop(
     conns: Shared<ConnRegistry>,
     net_acc: Shared<NetStats>,
     tx: Sender<WireFrame>,
-    stealer: Receiver<WireFrame>,
     policy: BackpressurePolicy,
     cfg: NetConfig,
     obs: PipelineObs,
@@ -483,12 +440,11 @@ fn accept_loop(
         let spawned = {
             let net_acc = Arc::clone(&net_acc);
             let tx = tx.clone();
-            let stealer = stealer.clone();
             let cfg = cfg.clone();
             let obs = obs.clone();
             std::thread::Builder::new()
                 .name(format!("gw-net-conn-{conn_id}"))
-                .spawn(move || conn_loop(conn_id, reader, net_acc, tx, stealer, policy, cfg, obs))
+                .spawn(move || conn_loop(conn_id, reader, net_acc, tx, policy, cfg, obs))
         };
         let handle = match spawned {
             Ok(handle) => handle,
@@ -512,13 +468,11 @@ fn accept_loop(
 
 /// One connection: read bytes, decode frames, deliver with backpressure,
 /// account every outcome.
-#[expect(clippy::too_many_arguments, reason = "a thread body takes its handles")]
 fn conn_loop(
     conn: usize,
     mut stream: TcpStream,
     net_acc: Shared<NetStats>,
     tx: Sender<WireFrame>,
-    stealer: Receiver<WireFrame>,
     policy: BackpressurePolicy,
     cfg: NetConfig,
     obs: PipelineObs,
@@ -582,7 +536,7 @@ fn conn_loop(
                                     named_protocol = true;
                                 }
                             }
-                            let outcome = deliver(policy, &tx, &stealer, frame);
+                            let outcome = deliver(policy, &tx, frame);
                             let mut acc = net_acc.lock();
                             match outcome {
                                 Delivery::Delivered => {
@@ -592,12 +546,6 @@ fn conn_loop(
                                 Delivery::Rejected => {
                                     acc.rejected += 1;
                                     acc.connections[conn].rejected += 1;
-                                }
-                                Delivery::DeliveredEvicting(evicted) => {
-                                    acc.frames += 1;
-                                    acc.connections[conn].frames += 1;
-                                    acc.dropped += evicted;
-                                    acc.connections[conn].dropped += evicted;
                                 }
                                 Delivery::IngestGone => {
                                     // Shutdown race: the ingest thread is
@@ -749,7 +697,7 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         for k in 0..4 {
             assert_eq!(
-                deliver(BackpressurePolicy::Block, &tx, &rx, frame(k)),
+                deliver(BackpressurePolicy::Block, &tx, frame(k)),
                 Delivery::Delivered
             );
         }
@@ -760,32 +708,19 @@ mod tests {
     fn reject_policy_refuses_when_full() {
         let (tx, rx) = channel::bounded(2);
         assert_eq!(
-            deliver(BackpressurePolicy::Reject, &tx, &rx, frame(0)),
+            deliver(BackpressurePolicy::Reject, &tx, frame(0)),
             Delivery::Delivered
         );
         assert_eq!(
-            deliver(BackpressurePolicy::Reject, &tx, &rx, frame(1)),
+            deliver(BackpressurePolicy::Reject, &tx, frame(1)),
             Delivery::Delivered
         );
         assert_eq!(
-            deliver(BackpressurePolicy::Reject, &tx, &rx, frame(2)),
+            deliver(BackpressurePolicy::Reject, &tx, frame(2)),
             Delivery::Rejected
         );
         // The queued frames are untouched.
         assert_eq!(rx.recv().unwrap().seq, 0);
         assert_eq!(rx.recv().unwrap().seq, 1);
-    }
-
-    #[test]
-    fn drop_oldest_policy_evicts_the_head() {
-        let (tx, rx) = channel::bounded(2);
-        deliver(BackpressurePolicy::Block, &tx, &rx, frame(0));
-        deliver(BackpressurePolicy::Block, &tx, &rx, frame(1));
-        assert_eq!(
-            deliver(BackpressurePolicy::DropOldest, &tx, &rx, frame(2)),
-            Delivery::DeliveredEvicting(1)
-        );
-        assert_eq!(rx.recv().unwrap().seq, 1);
-        assert_eq!(rx.recv().unwrap().seq, 2);
     }
 }

@@ -134,7 +134,7 @@ impl SourceTable {
             return Admission::Buffered;
         }
         // The window is full and the gap never filled: the missing
-        // frames are lost (evicted at a lossy boundary, or a client
+        // frames are lost (refused at a lossy boundary, or a client
         // skipped numbers). Jump to the oldest buffered frame so the
         // source can never wedge the stream.
         let Some(&oldest) = state.pending.keys().next() else {

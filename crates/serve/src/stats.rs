@@ -23,9 +23,6 @@ pub struct ShardStats {
     /// Snapshots scored by this shard.
     #[serde(default)]
     pub processed: u64,
-    /// Snapshots evicted from this shard's queue under `DropOldest`.
-    #[serde(default)]
-    pub evicted: u64,
     /// Messages currently waiting in this shard's queue.
     #[serde(default)]
     pub queue_depth: usize,
@@ -72,10 +69,6 @@ pub struct ConnStats {
     /// Frames refused at the socket boundary under `Reject`.
     #[serde(default)]
     pub rejected: u64,
-    /// Older frames evicted at the socket boundary under `DropOldest`
-    /// to admit this connection's frames.
-    #[serde(default)]
-    pub dropped: u64,
     /// Whether the connection is still open.
     #[serde(default)]
     pub open: bool,
@@ -107,9 +100,6 @@ pub struct NetStats {
     /// Frames refused at the socket boundary under `Reject`.
     #[serde(default)]
     pub rejected: u64,
-    /// Frames evicted at the socket boundary under `DropOldest`.
-    #[serde(default)]
-    pub dropped: u64,
     /// Frames absorbed as duplicates (reconnect replay, resumed
     /// checkpoints).
     #[serde(default)]
@@ -143,23 +133,16 @@ pub struct ServeStats {
     /// Merged step reports emitted.
     #[serde(default)]
     pub reports: u64,
-    /// Instants skipped because every shard evicted them.
-    #[serde(default)]
-    pub empty_steps: u64,
     /// Alarm events fired by the merged-board tracker.
     #[serde(default)]
     pub alarms: u64,
     /// Checkpoints completed.
     #[serde(default)]
     pub checkpoints: u64,
-    /// Snapshots shed by overload sampling before reaching any queue
-    /// (see [`crate::SamplingConfig`]).
-    #[serde(default)]
-    pub sampled_out: u64,
-    /// Fraction of offered snapshots actually admitted past the
-    /// sampler: `submitted / (submitted + sampled_out)`, or `1.0`
-    /// before anything was offered. Pre-sampling dumps parse to `0.0`
-    /// here (field default), which readers should treat as "unknown".
+    /// Fraction of offered snapshots the ingestion front accepted:
+    /// `submitted / (submitted + rejected)`, or `1.0` before anything
+    /// was offered. Dumps that predate the field parse to `0.0` here
+    /// (field default), which readers should treat as "unknown".
     #[serde(default)]
     pub coverage_fraction: f64,
     /// Pair-model rebuilds fired by the shards' drift layers.
@@ -197,12 +180,6 @@ const SERVE_METRICS: &[Metric<ServeStats>] = &[
         |s| s.reports,
     ),
     (
-        "gridwatch_empty_steps_total",
-        "counter",
-        "Instants skipped because every shard evicted them.",
-        |s| s.empty_steps,
-    ),
-    (
         "gridwatch_alarms_total",
         "counter",
         "Alarm events fired by the merged-board tracker.",
@@ -213,12 +190,6 @@ const SERVE_METRICS: &[Metric<ServeStats>] = &[
         "counter",
         "Checkpoints completed.",
         |s| s.checkpoints,
-    ),
-    (
-        "gridwatch_sampled_out_total",
-        "counter",
-        "Snapshots shed by overload sampling before reaching any queue.",
-        |s| s.sampled_out,
     ),
     (
         "gridwatch_rebuilds_total",
@@ -248,12 +219,6 @@ const SHARD_METRICS: &[Metric<ShardStats>] = &[
         "counter",
         "Snapshots scored by each shard.",
         |s| s.processed,
-    ),
-    (
-        "gridwatch_shard_evicted_total",
-        "counter",
-        "Snapshots evicted from each shard's queue under DropOldest.",
-        |s| s.evicted,
     ),
     (
         "gridwatch_shard_queue_depth",
@@ -356,14 +321,14 @@ impl ServeStats {
     }
 
     /// A reader's copy of the live document: the counters, plus the
-    /// per-shard queue lengths right now, the sampler's coverage so
+    /// per-shard queue lengths right now, the admission coverage so
     /// far, and the flight recorder's overflow count.
     pub(crate) fn snapshot(&self, queue_depths: &[usize], flight_dropped: u64) -> ServeStats {
         let mut stats = self.clone();
         for (shard, &depth) in stats.shards.iter_mut().zip(queue_depths) {
             shard.queue_depth = depth;
         }
-        let offered = stats.submitted + stats.sampled_out;
+        let offered = stats.submitted + stats.rejected;
         stats.coverage_fraction = if offered == 0 {
             1.0
         } else {
@@ -378,11 +343,6 @@ impl ServeStats {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self)
             .unwrap_or_else(|e| format!("{{\"error\":\"stats serialize: {e}\"}}"))
-    }
-
-    /// Total snapshots evicted across all shards.
-    pub fn total_evicted(&self) -> u64 {
-        self.shards.iter().map(|s| s.evicted).sum()
     }
 
     /// Renders the stats — plus the tracer's per-stage span
@@ -443,7 +403,7 @@ mod tests {
     fn stats_json_roundtrips() {
         let mut live = ServeStats::new(2);
         live.submitted = 10;
-        live.shards[1].evicted = 3;
+        live.rejected = 3;
         live.shards[0].observe_latency(420);
         let mut stats = live.snapshot(&[0, 1], 2);
         stats.net.frames = 7;
@@ -457,7 +417,7 @@ mod tests {
         let json = stats.to_json();
         let back: ServeStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
-        assert_eq!(back.total_evicted(), 3);
+        assert_eq!(back.rejected, 3);
         assert_eq!(back.shards[0].latency.count, 1);
     }
 
@@ -467,7 +427,7 @@ mod tests {
         // have no "net" key; they must keep deserializing.
         let old = concat!(
             "{\"shards\":[],\"submitted\":4,\"rejected\":0,\"reports\":0,",
-            "\"empty_steps\":0,\"alarms\":0,\"checkpoints\":0}"
+            "\"alarms\":0,\"checkpoints\":0}"
         );
         let back: ServeStats = serde_json::from_str(old).unwrap();
         assert_eq!(back.submitted, 4);
@@ -484,7 +444,7 @@ mod tests {
         let old = concat!(
             "{\"shards\":[{\"shard\":0,\"pairs\":3,\"processed\":9,\"evicted\":0,",
             "\"queue_depth\":2,\"latency\":{\"min_ns\":10,\"mean_ns\":20,\"max_ns\":30}}],",
-            "\"submitted\":9,\"rejected\":0,\"reports\":9,\"empty_steps\":0,",
+            "\"submitted\":9,\"rejected\":0,\"reports\":9,",
             "\"alarms\":1,\"checkpoints\":1}"
         );
         let back: ServeStats = serde_json::from_str(old).unwrap();
@@ -503,22 +463,22 @@ mod tests {
         stats.net.connections.push(ConnStats::default());
         let json = serde_json::to_string(&stats).unwrap();
         let golden = concat!(
-            "{\"shards\":[{\"shard\":0,\"pairs\":0,\"processed\":0,\"evicted\":0,",
+            "{\"shards\":[{\"shard\":0,\"pairs\":0,\"processed\":0,",
             "\"queue_depth\":0,",
             "\"latency\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]},",
             "\"queue_depths\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]},",
             "\"backpressure_wait_ns\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]}}],",
-            "\"submitted\":0,\"rejected\":0,\"reports\":0,\"empty_steps\":0,",
-            "\"alarms\":0,\"checkpoints\":0,\"sampled_out\":0,",
+            "\"submitted\":0,\"rejected\":0,\"reports\":0,",
+            "\"alarms\":0,\"checkpoints\":0,",
             "\"coverage_fraction\":1.0,\"rebuilds\":0,",
             "\"flight_dropped\":0,",
             "\"net\":{\"accepted\":0,\"closed\":0,",
             "\"frames\":0,\"decode_errors\":0,\"timeouts\":0,\"deadline_failures\":0,",
             "\"rejected\":0,",
-            "\"dropped\":0,\"duplicates\":0,\"out_of_order\":0,\"gap_skips\":0,",
+            "\"duplicates\":0,\"out_of_order\":0,\"gap_skips\":0,",
             "\"checkpoint_failures\":0,\"connections\":[{\"conn\":0,\"peer\":\"\",",
             "\"protocol\":\"\",\"frames\":0,\"decode_errors\":0,\"timeouts\":0,",
-            "\"rejected\":0,\"dropped\":0,\"open\":false}]}}"
+            "\"rejected\":0,\"open\":false}]}}"
         );
         assert_eq!(json, golden);
     }
@@ -550,18 +510,12 @@ gridwatch_rejected_total 0
 # HELP gridwatch_reports_total Merged step reports emitted.
 # TYPE gridwatch_reports_total counter
 gridwatch_reports_total 3
-# HELP gridwatch_empty_steps_total Instants skipped because every shard evicted them.
-# TYPE gridwatch_empty_steps_total counter
-gridwatch_empty_steps_total 0
 # HELP gridwatch_alarms_total Alarm events fired by the merged-board tracker.
 # TYPE gridwatch_alarms_total counter
 gridwatch_alarms_total 1
 # HELP gridwatch_checkpoints_total Checkpoints completed.
 # TYPE gridwatch_checkpoints_total counter
 gridwatch_checkpoints_total 0
-# HELP gridwatch_sampled_out_total Snapshots shed by overload sampling before reaching any queue.
-# TYPE gridwatch_sampled_out_total counter
-gridwatch_sampled_out_total 0
 # HELP gridwatch_rebuilds_total Pair-model rebuilds fired by the shards' drift layers.
 # TYPE gridwatch_rebuilds_total counter
 gridwatch_rebuilds_total 0
@@ -574,9 +528,6 @@ gridwatch_shard_pairs{shard=\"0\"} 2
 # HELP gridwatch_shard_processed_total Snapshots scored by each shard.
 # TYPE gridwatch_shard_processed_total counter
 gridwatch_shard_processed_total{shard=\"0\"} 3
-# HELP gridwatch_shard_evicted_total Snapshots evicted from each shard's queue under DropOldest.
-# TYPE gridwatch_shard_evicted_total counter
-gridwatch_shard_evicted_total{shard=\"0\"} 0
 # HELP gridwatch_shard_queue_depth Messages currently waiting in each shard's queue.
 # TYPE gridwatch_shard_queue_depth gauge
 gridwatch_shard_queue_depth{shard=\"0\"} 1

@@ -31,7 +31,6 @@ fn serve_config() -> ServeConfig {
         shards: 2,
         queue_capacity: 8,
         backpressure: BackpressurePolicy::Block,
-        sampling: None,
     }
 }
 
@@ -493,8 +492,7 @@ fn lossy_flood_never_wedges_the_listener() {
         ServeConfig {
             shards: 2,
             queue_capacity: 2,
-            backpressure: BackpressurePolicy::DropOldest,
-            sampling: None,
+            backpressure: BackpressurePolicy::Reject,
         },
         NetConfig {
             ingest_capacity: 2,
@@ -514,11 +512,12 @@ fn lossy_flood_never_wedges_the_listener() {
 
     // Liveness + accounting: the shutdown above completing is the
     // no-wedge proof, and every frame is accounted for — applied,
-    // evicted at the socket boundary, or (at most a reorder window's
-    // worth) still waiting on an abandonable gap at teardown.
-    assert_eq!(stats.net.frames, trace.len() as u64);
+    // refused at the socket boundary, refused by the engine front once
+    // sequenced, or (at most a reorder window's worth) still waiting on
+    // an abandonable gap at teardown.
+    assert_eq!(stats.net.frames + stats.net.rejected, trace.len() as u64);
     assert_eq!(stats.net.decode_errors, 0);
-    let accounted = stats.submitted + stats.net.dropped;
+    let accounted = stats.submitted + stats.rejected + stats.net.rejected;
     assert!(accounted <= trace.len() as u64, "{}", stats.to_json());
     assert!(
         trace.len() as u64 - accounted <= 4,
@@ -526,8 +525,8 @@ fn lossy_flood_never_wedges_the_listener() {
         stats.to_json()
     );
     assert!(
-        stats.net.gap_skips <= stats.net.dropped,
-        "only evicted frames leave gaps to skip: {}",
+        stats.net.gap_skips <= stats.net.rejected,
+        "only refused frames leave gaps to skip: {}",
         stats.to_json()
     );
 }

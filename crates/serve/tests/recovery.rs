@@ -100,7 +100,6 @@ fn crash_and_recover(original_shards: usize, recovered_shards: usize, tag: &str)
             shards: original_shards,
             queue_capacity: 8,
             backpressure: BackpressurePolicy::Block,
-            sampling: None,
         },
     );
     for snap in &trace[..cut] {
@@ -125,7 +124,6 @@ fn crash_and_recover(original_shards: usize, recovered_shards: usize, tag: &str)
             shards: recovered_shards,
             queue_capacity: 8,
             backpressure: BackpressurePolicy::Block,
-            sampling: None,
         },
     );
     for snap in &trace[resume_from..] {
@@ -165,7 +163,6 @@ fn crash_recovery_resumes_exactly_onto_unsharded_engine() {
             shards: 3,
             queue_capacity: 8,
             backpressure: BackpressurePolicy::Block,
-            sampling: None,
         },
     );
     for snap in &trace[..cut] {
@@ -196,7 +193,6 @@ fn second_checkpoint_overwrites_first_atomically() {
             shards: 2,
             queue_capacity: 8,
             backpressure: BackpressurePolicy::Block,
-            sampling: None,
         },
     );
     for (k, snap) in trace.iter().enumerate() {

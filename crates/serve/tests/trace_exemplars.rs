@@ -150,7 +150,6 @@ proptest! {
                     shards,
                     queue_capacity: 16,
                     backpressure: BackpressurePolicy::Block,
-                    sampling: None,
                 },
                 obs,
             );
